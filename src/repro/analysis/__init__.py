@@ -13,9 +13,6 @@ Detection*; Joshi & Muduganti, *GPURepair*):
 - :mod:`repro.analysis.checker` runs the pairwise may-happen-in-parallel
   race check, classifies findings with the paper's race taxonomy and
   emits GPURepair-style fix hints;
-- :mod:`repro.analysis.prune` turns proven-safe instruction sites into
-  hints the dynamic detector consumes to skip metadata checks
-  (``IGuardConfig.static_prune``);
 - :mod:`repro.analysis.lint` is the ``iguard-experiments lint`` front end.
 
 The load-bearing invariant, enforced by the fuzzer's soundness gate

@@ -30,10 +30,10 @@ Three execution modes, all producing byte-identical race reports:
   Identical to serial detection in every observable — races, stats, and
   cycle breakdowns bit-for-bit — for any shard count.
 - **batched** (:class:`BatchShardedIGuard`): routed events queue per
-  shard and drain through the cores' tight ``check_run`` loops at every
-  sync-mutation boundary; shard-local race records are re-sorted into
-  serial order (:func:`repro.core.report.merge_race_records`) at launch
-  end.  Used by :func:`replay_trace_sharded`, the fast replay driver
+  shard and drain through the cores' per-event ``check_run`` loops at
+  every sync-mutation boundary; shard-local race records are re-sorted
+  into serial order (:func:`repro.core.report.merge_race_records`) at
+  launch end.  Used by :func:`replay_trace_sharded`, the fast replay driver
   behind the bench's shard-scaling measurement.
 - **process pool** (``mode="processpool"`` of
   :func:`replay_workload_sharded`): one replica per shard replays the
@@ -135,8 +135,8 @@ class BatchShardedIGuard(IGuard):
 
     Between two synchronization mutations every routed check depends only
     on its own granule's state plus the (frozen) sync state, so queueing
-    routed events and draining each shard's queue as one tight
-    ``check_run`` is order-equivalent to interleaved serial checking.
+    routed events and draining each shard's queue as one ``check_run``
+    is order-equivalent to interleaved serial checking.
     Race records surface out of serial order during a drain, so the
     report sink defers them; the launch-end merge re-sorts into exact
     serial order before feeding the shared race log (first-record-wins
@@ -145,12 +145,6 @@ class BatchShardedIGuard(IGuard):
     Stats and races are byte-identical to serial; timing breakdowns are
     identical too (front-end charges stay per-event in stream order).
     """
-
-    #: Static pruning stays off here: a pruned access would write its
-    #: metadata back *immediately* while earlier queued checks to the
-    #: same granule are still waiting in the shard queue, reordering
-    #: metadata updates relative to checks.
-    static_prune_supported = False
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -195,7 +189,7 @@ class BatchShardedIGuard(IGuard):
                 if HOT.enabled:
                     HOT.shard_queue_depth.observe(depth)
                     _observe_shard_drain(shard, depth)
-                self.cores[shard].drain_batch(queue, launch, stats)
+                self.cores[shard].check_run(queue, launch, stats)
                 queue.clear()
         if drained and HOT.enabled:
             HOT.shard_flushes.inc()
@@ -229,7 +223,7 @@ class BatchShardedFastTrack(FastTrack):
     only mutates at barriers, fences, and atomics — exactly the events
     :class:`~repro.core.engine.HBCore` broadcasts — so queueing routed
     loads/stores between two sync mutations and draining each shard's
-    queue as one :meth:`~repro.core.engine.DetectorCore.drain_batch` is
+    queue as one :meth:`~repro.core.engine.DetectorCore.check_run` is
     order-equivalent to interleaved serial checking (per-address history
     order is preserved inside a queue; distinct addresses share no
     state).  Race records surface out of serial order, so the sink
@@ -277,7 +271,7 @@ class BatchShardedFastTrack(FastTrack):
                 if HOT.enabled:
                     HOT.shard_queue_depth.observe(depth)
                     _observe_shard_drain(shard, depth)
-                self.cores[shard].drain_batch(queue, launch)
+                self.cores[shard].check_run(queue, launch)
                 queue.clear()
         if drained and HOT.enabled:
             HOT.shard_flushes.inc()
@@ -685,10 +679,6 @@ def replay_columnar_sharded(
 
 class _ShardReplicaIGuard(IGuard):
     """One shard's view of the trace: full sync replica, filtered checks."""
-
-    #: Replicas replay serialized traces — no kernel source to analyze,
-    #: and the parent merge assumes every replica checked its full slice.
-    static_prune_supported = False
 
     def __init__(self, shard_index: int, num_shards: int, config, costs=None):
         super().__init__(config, costs=costs, shards=1)

@@ -7,44 +7,25 @@ pinned scheduler seeds.  Its output is a ``BENCH_*.json`` artifact meant
 to be checked in per PR, so the events/sec trajectory of the codebase is
 observable and CI can hold the line against regressions.
 
-Metrics, per (workload, seed) cell and aggregated per suite and overall:
+Metrics, per (workload, seed) cell and aggregated per suite and overall
+under the ``detection`` key:
 
 - **events/sec** — memory-access events processed by the detector
   (checked + coalesced) divided by the wall-clock time of the run;
-- **p50/p95 per-event cost** — microseconds per event across cells;
-- **elision rate** — the share of checked accesses the same-epoch fast
-  path elided (zero when the fast path is off or predates the knob).
+- **p50/p95 per-event cost** — microseconds per event across cells.
 
-The harness also runs a *replay equivalence check*: a recorded trace is
-replayed through a fast-path-on and a fast-path-off detector and the
-races, race types, and per-category cycle breakdowns are compared for
-exact equality — the fast path's invariant is bit-identical detection
-output with only wall-clock time allowed to change.
-
-Modes (``--modes fast,slow``) set ``IGuardConfig.fast_path``: ``fast``
-measures the shipping default (``"auto"`` — per-kernel adaptive elision)
-and ``slow`` forces the bookkeeping off.  On a checkout that predates
-the knob, both modes degrade to the default config, which is what makes
-the harness suitable for measuring a pre-PR baseline with the *same*
-timing loop.
-
-The harness also measures trace-container throughput: decode and
-end-to-end replay events/sec of the JSONL codec vs the columnar ``.ctr``
-container (``repro.engine.coltrace``), with race-site equality enforced
-across formats.
-
-Static check pruning (``IGuardConfig.static_prune``) gets its own
-off-vs-on measurement: events/sec with and without the static analyzer's
-safe-site hints, the fraction of accesses the hints elide, and a
-per-cell race-site equality check (the pruning contract is byte-identical
-detection output — a divergence exits 3 like any equivalence failure).
+The harness also measures shard scaling of the batched replay driver and
+trace-container throughput: decode and end-to-end replay events/sec of
+the JSONL codec vs the columnar ``.ctr`` container
+(``repro.engine.coltrace``), with race-site equality enforced across
+shard counts and formats.
 
 CI runs ``--smoke --check <baseline.json>``: a small basket, JSON
-uploaded as an artifact.  Exit codes: 2 — events/sec regressed more
-than 30% against the checked-in smoke baseline; 3 — any equivalence
-check diverged (fast-path modes, shard counts, or container formats);
-4 — ``fast_over_slow`` fell below 1.0 beyond the jitter allowance (the
-adaptive fast path failed its never-slower contract).
+uploaded as an artifact.  ``--check`` also reads results written by
+older harness versions (per-mode ``modes`` summaries), because CI
+measures its baseline on the base revision.  Exit codes: 2 — events/sec
+regressed more than 30% against the baseline; 3 — sharded or columnar
+replay changed detection output.
 """
 
 from __future__ import annotations
@@ -54,11 +35,10 @@ import json
 import platform
 import sys
 import time
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Iterable, Optional, Sequence
 
 from repro.core import IGuard
-from repro.core.config import DEFAULT_CONFIG, IGuardConfig
 from repro.errors import DeadlockError, TimeoutError_
 from repro.gpu.device import Device
 from repro.obs import (
@@ -80,35 +60,6 @@ SMOKE_BASKET = ("matrix-mult", "reduction", "graph-color", "reduceMB")
 #: drops below (1 - 0.30) x the checked-in baseline.
 REGRESSION_TOLERANCE = 0.30
 
-#: Noise allowance for the fast-path gate.  The adaptive ("auto") mode's
-#: contract is never-slower-than-off, i.e. ``fast_over_slow >= 1.0``, but
-#: identical code measured twice on a CI container jitters a few percent
-#: run to run even with interleaved repeats and keep-fastest.  Only a
-#: shortfall beyond this allowance is a real regression (the pre-adaptive
-#: always-on fast path measured 0.91x and must keep failing).
-FAST_PATH_JITTER_ALLOWANCE = 0.05
-
-
-def _detector_config(fast_path) -> IGuardConfig:
-    """The default config with the fast path set to ``fast_path``.
-
-    ``fast_path`` is ``"auto"``, ``True`` or ``False``.  Degrades
-    gracefully on checkouts whose ``IGuardConfig`` predates the knob
-    (used to measure pre-PR baselines with the same harness).
-    """
-    try:
-        return replace(DEFAULT_CONFIG, fast_path=fast_path)
-    except TypeError:
-        return DEFAULT_CONFIG
-
-
-def _fast_path_mode(fast_path) -> str:
-    """The recorded label of a fast-path setting: auto, on, or off."""
-    if fast_path == "auto":
-        return "auto"
-    return "on" if fast_path else "off"
-
-
 @dataclass
 class CellResult:
     """One (workload, seed) measurement."""
@@ -117,7 +68,6 @@ class CellResult:
     workload: str
     seed: int
     events: int
-    elided: int
     seconds: float
 
     @property
@@ -129,46 +79,31 @@ class CellResult:
         return self.seconds * 1e6 / self.events if self.events else 0.0
 
 
-def bench_cell(workload, seed: int, config: IGuardConfig, repeats: int = 1) -> CellResult:
-    """Time one workload/seed run under a fresh detector.
+def bench_cell(workload, seed: int, repeats: int = 1) -> CellResult:
+    """Time one workload/seed run under a fresh default-config detector.
 
     ``repeats`` > 1 re-runs the cell and keeps the fastest wall time (the
     standard way to suppress scheduler noise); events are identical
-    across repeats because the seed pins the interleaving.  Later repeats
-    warm-start each core with the previous repeat's per-kernel fast-path
-    verdicts, so keep-fastest measures the steady state of the "auto"
-    mode (a decided detector) rather than its one-time warm-up sampling.
+    across repeats because the seed pins the interleaving.
     """
     best: Optional[float] = None
-    events = elided = 0
-    decisions: Optional[dict] = None
+    events = 0
     for _ in range(max(1, repeats)):
-        elapsed, events, elided, decisions = _run_cell_once(
-            workload, seed, config, decisions
-        )
+        elapsed, events = _run_cell_once(workload, seed)
         best = elapsed if best is None else min(best, elapsed)
     return CellResult(
         suite=workload.suite,
         workload=workload.name,
         seed=seed,
         events=events,
-        elided=elided,
         seconds=best or 0.0,
     )
 
 
-def _run_cell_once(workload, seed: int, config: IGuardConfig, decisions):
-    """One timed run of a cell; returns (seconds, events, elided, decisions).
-
-    ``decisions`` warm-starts the detector's per-kernel fast-path
-    verdicts (the "auto" mode's steady state); the run's own verdicts
-    are returned for the next repeat.
-    """
+def _run_cell_once(workload, seed: int):
+    """One timed run of a cell; returns (seconds, events)."""
     device = Device(SIM_GPU)
-    tool = device.add_tool(IGuard(config=config))
-    if decisions:
-        for core in tool.cores:
-            getattr(core, "fast_decisions", {}).update(decisions)
+    tool = device.add_tool(IGuard())
     started = time.perf_counter()
     try:
         workload.run(device, seed)
@@ -178,11 +113,7 @@ def _run_cell_once(workload, seed: int, config: IGuardConfig, decisions):
     events = sum(
         s.accesses_checked + s.accesses_coalesced for s in tool.stats
     )
-    elided = sum(getattr(s, "accesses_elided", 0) for s in tool.stats)
-    learned: dict = {}
-    for core in tool.cores:
-        learned.update(getattr(core, "fast_decisions", {}))
-    return elapsed, events, elided, learned
+    return elapsed, events
 
 
 def _percentile(values: Sequence[float], fraction: float) -> float:
@@ -203,29 +134,16 @@ def summarize(cells: Iterable[CellResult]) -> dict:
     cells = list(cells)
     suites: Dict[str, dict] = {}
     for cell in cells:
-        suite = suites.setdefault(
-            cell.suite, {"events": 0, "seconds": 0.0, "elided": 0}
-        )
+        suite = suites.setdefault(cell.suite, {"events": 0, "seconds": 0.0})
         suite["events"] += cell.events
         suite["seconds"] += cell.seconds
-        suite["elided"] += cell.elided
-    break_even = getattr(DEFAULT_CONFIG, "fast_path_break_even", 0.0)
     for suite in suites.values():
         suite["events_per_sec"] = round(
             suite["events"] / suite["seconds"] if suite["seconds"] else 0.0, 1
         )
         suite["seconds"] = round(suite["seconds"], 4)
-        suite["elision_rate"] = round(
-            suite.pop("elided") / suite["events"] if suite["events"] else 0.0, 4
-        )
-        # The "auto" mode's break-even verdict, recorded per suite so a
-        # bench JSON states which suites can pay for the fast path's
-        # signature bookkeeping and which get it disabled.
-        suite["break_even"] = break_even
-        suite["above_break_even"] = suite["elision_rate"] >= break_even
     events = sum(c.events for c in cells)
     seconds = sum(c.seconds for c in cells)
-    elided = sum(c.elided for c in cells)
     costs = [c.us_per_event for c in cells if c.events]
     return {
         "cells": len(cells),
@@ -234,139 +152,20 @@ def summarize(cells: Iterable[CellResult]) -> dict:
         "events_per_sec": round(events / seconds if seconds else 0.0, 1),
         "p50_us_per_event": round(_percentile(costs, 0.50), 4),
         "p95_us_per_event": round(_percentile(costs, 0.95), 4),
-        "elision_rate": round(elided / events if events else 0.0, 4),
         "suites": suites,
     }
 
 
-def run_mode(
-    workloads, fast_path, repeats: int = 1, seeds_limit: Optional[int] = None
+def run_basket(
+    workloads, repeats: int = 1, seeds_limit: Optional[int] = None
 ) -> dict:
-    """Measure every (workload, seed) cell of the basket in one mode.
-
-    ``fast_path`` is the config value: ``"auto"``, ``True`` or ``False``.
-    """
-    config = _detector_config(fast_path)
+    """Measure every (workload, seed) cell of the basket."""
     cells = []
     for workload in workloads:
         seeds = workload.seeds[:seeds_limit] if seeds_limit else workload.seeds
         for seed in seeds:
-            cells.append(bench_cell(workload, seed, config, repeats=repeats))
-    summary = summarize(cells)
-    summary["fast_path_mode"] = _fast_path_mode(fast_path)
-    return summary
-
-
-def run_modes(
-    workloads,
-    mode_values: Dict[str, object],
-    repeats: int = 1,
-    seeds_limit: Optional[int] = None,
-) -> Dict[str, dict]:
-    """Measure several fast-path modes with per-cell interleaved repeats.
-
-    Measuring one whole mode after another biases the ratio: the later
-    mode runs on a warmed-up process (hot caches, faulted-in pages) and
-    looks a few percent faster regardless of the code under test — the
-    container's run-to-run jitter is larger than the effect the
-    ``fast_over_slow`` gate polices.  Here every repeat of a cell runs
-    *all* modes back to back (after one untimed priming run), so each
-    mode's keep-fastest time comes from identical conditions and the
-    ratio is unbiased.
-    """
-    configs = {mode: _detector_config(v) for mode, v in mode_values.items()}
-    cells: Dict[str, List[CellResult]] = {mode: [] for mode in mode_values}
-    for workload in workloads:
-        seeds = workload.seeds[:seeds_limit] if seeds_limit else workload.seeds
-        for seed in seeds:
-            first_config = next(iter(configs.values()))
-            _run_cell_once(workload, seed, first_config, None)  # priming
-            best: Dict[str, Optional[float]] = {m: None for m in configs}
-            events = {m: 0 for m in configs}
-            elided = {m: 0 for m in configs}
-            decisions: Dict[str, Optional[dict]] = {m: None for m in configs}
-            for _ in range(max(1, repeats)):
-                for mode, config in configs.items():
-                    elapsed, n_events, n_elided, learned = _run_cell_once(
-                        workload, seed, config, decisions[mode]
-                    )
-                    decisions[mode] = learned
-                    events[mode] = n_events
-                    elided[mode] = n_elided
-                    best[mode] = (
-                        elapsed
-                        if best[mode] is None
-                        else min(best[mode], elapsed)
-                    )
-            for mode in configs:
-                cells[mode].append(
-                    CellResult(
-                        suite=workload.suite,
-                        workload=workload.name,
-                        seed=seed,
-                        events=events[mode],
-                        elided=elided[mode],
-                        seconds=best[mode] or 0.0,
-                    )
-                )
-    summaries = {}
-    for mode, value in mode_values.items():
-        summary = summarize(cells[mode])
-        summary["fast_path_mode"] = _fast_path_mode(value)
-        summaries[mode] = summary
-    return summaries
-
-
-# ---------------------------------------------------------------------------
-# Replay equivalence: fast path on vs off must be bit-identical.
-# ---------------------------------------------------------------------------
-
-
-def _result_fingerprint(result) -> dict:
-    """The detection output that must be invariant under the fast path."""
-    return {
-        "status": result.status,
-        "races": result.races,
-        "race_types": sorted(str(t) for t in result.race_types),
-        "race_sites": list(result.race_sites),
-        "native_time": result.native_time,
-        "total_time": result.total_time,
-        "breakdown": result.breakdown,
-    }
-
-
-def equivalence_check(workloads) -> dict:
-    """Replay each workload's trace under fast-path-on and -off detectors.
-
-    Returns ``{"checked": N, "identical": bool, "mismatches": [...]}``.
-    All three fast-path modes (``"auto"``, on, off) are replayed; races,
-    race types and the Figure 13 cycle breakdowns must be exactly equal
-    — the fast path may only change wall-clock time.
-    """
-    from repro.engine.replay import capture_workload, replay_workload
-
-    mismatches: List[str] = []
-    for workload in workloads:
-        trace = capture_workload(workload)
-        results = {
-            mode: replay_workload(
-                trace,
-                lambda m=mode: IGuard(config=_detector_config(m)),
-                workload.name,
-            )
-            for mode in ("auto", True, False)
-        }
-        reference = _result_fingerprint(results["auto"])
-        if any(
-            _result_fingerprint(result) != reference
-            for result in results.values()
-        ):
-            mismatches.append(workload.name)
-    return {
-        "checked": len(list(workloads)),
-        "identical": not mismatches,
-        "mismatches": mismatches,
-    }
+            cells.append(bench_cell(workload, seed, repeats=repeats))
+    return summarize(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +437,7 @@ SAMPLER_BENCH_INTERVAL = 0.05
 def measure_obs_overhead(workloads, repeats: int = 1, seeds_limit: int = 1) -> dict:
     """Measure the observability stack's own wall-clock cost, per layer.
 
-    Three measurements of the fast-path basket over one seed per
+    Three measurements of the basket over one seed per
     workload: metrics registry **disabled**, metrics **enabled**, and
     metrics enabled **with the telemetry sampler running** at an
     aggressive interval (:data:`SAMPLER_BENCH_INTERVAL`, an upper bound
@@ -659,19 +458,18 @@ def measure_obs_overhead(workloads, repeats: int = 1, seeds_limit: int = 1) -> d
     was_enabled = obs_metrics.metrics_enabled()
     try:
         obs_metrics.set_enabled(False)
-        disabled = run_mode(
-            workloads, fast_path="auto", repeats=repeats, seeds_limit=seeds_limit
+        disabled = run_basket(
+            workloads, repeats=repeats, seeds_limit=seeds_limit
         )
         obs_metrics.set_enabled(True)
-        enabled = run_mode(
-            workloads, fast_path="auto", repeats=repeats, seeds_limit=seeds_limit
+        enabled = run_basket(
+            workloads, repeats=repeats, seeds_limit=seeds_limit
         )
         sampler = TelemetrySampler(interval=SAMPLER_BENCH_INTERVAL)
         sampler.start()
         try:
-            sampled = run_mode(
-                workloads, fast_path="auto", repeats=repeats,
-                seeds_limit=seeds_limit,
+            sampled = run_basket(
+                workloads, repeats=repeats, seeds_limit=seeds_limit
             )
         finally:
             sampler.stop()
@@ -699,129 +497,6 @@ def measure_obs_overhead(workloads, repeats: int = 1, seeds_limit: int = 1) -> d
 
 
 # ---------------------------------------------------------------------------
-# Static check pruning: throughput with the analyzer's safe-site hints.
-# ---------------------------------------------------------------------------
-
-
-def _prune_config() -> IGuardConfig:
-    """The default config with static check pruning on.
-
-    Degrades gracefully on checkouts whose ``IGuardConfig`` predates the
-    knob, mirroring :func:`_detector_config`.
-    """
-    try:
-        return replace(DEFAULT_CONFIG, static_prune=True)
-    except TypeError:
-        return DEFAULT_CONFIG
-
-
-def _prune_cell_once(workload, seed: int, config: IGuardConfig):
-    """One timed run of a cell; returns (seconds, events, pruned, sites).
-
-    ``events`` counts checked + coalesced + pruned accesses so both
-    modes report the same totals: pruning reroutes an access onto the
-    record-only path, it never drops one.
-    """
-    device = Device(SIM_GPU)
-    tool = device.add_tool(IGuard(config=config))
-    started = time.perf_counter()
-    try:
-        workload.run(device, seed)
-    except (DeadlockError, TimeoutError_):
-        pass
-    elapsed = time.perf_counter() - started
-    checked = sum(
-        s.accesses_checked + s.accesses_coalesced for s in tool.stats
-    )
-    pruned = sum(getattr(s, "accesses_pruned", 0) for s in tool.stats)
-    sites = sorted((str(ip), str(t)) for ip, t in tool.races.sites())
-    return elapsed, checked + pruned, pruned, sites
-
-
-def measure_static_prune(
-    workloads, repeats: int = 1, seeds_limit: int = 1
-) -> dict:
-    """Measure detection throughput with static check pruning off vs on.
-
-    Runs each (workload, seed) cell under the default config and under
-    ``static_prune=True`` (the static analyzer's safe-site hints route
-    provably race-free instruction sites onto the record-only path,
-    skipping the Table 2 checks).  The two modes run interleaved per
-    cell after one untimed priming run — the same debiasing scheme as
-    :func:`run_modes` — with keep-fastest over ``repeats``.
-
-    Race sites are compared per cell: the pruning contract is
-    byte-identical detection output, so any divergence is reported under
-    ``mismatches`` and fails the bench (exit 3).  ``fraction_pruned`` is
-    the share of on-mode accesses the hints elided.
-    """
-    off_config = DEFAULT_CONFIG
-    on_config = _prune_config()
-    totals = {
-        mode: {"events": 0, "seconds": 0.0, "pruned": 0}
-        for mode in ("off", "on")
-    }
-    mismatches: List[str] = []
-    for workload in workloads:
-        seeds = workload.seeds[:seeds_limit] if seeds_limit else workload.seeds
-        for seed in seeds:
-            # Priming runs for both modes: the off run faults pages and
-            # warms caches like run_modes' priming; the on run also
-            # populates the process-wide extraction cache, so the timed
-            # on-mode measures the steady state (hint lookup), not the
-            # one-time per-kernel analysis cost.
-            _prune_cell_once(workload, seed, off_config)
-            _prune_cell_once(workload, seed, on_config)
-            best: Dict[str, Optional[float]] = {"off": None, "on": None}
-            cell: Dict[str, tuple] = {}
-            for _ in range(max(1, repeats)):
-                for mode, config in (("off", off_config), ("on", on_config)):
-                    elapsed, events, pruned, sites = _prune_cell_once(
-                        workload, seed, config
-                    )
-                    cell[mode] = (events, pruned, sites)
-                    best[mode] = (
-                        elapsed
-                        if best[mode] is None
-                        else min(best[mode], elapsed)
-                    )
-            for mode in ("off", "on"):
-                events, pruned, _sites = cell[mode]
-                totals[mode]["events"] += events
-                totals[mode]["seconds"] += best[mode] or 0.0
-                totals[mode]["pruned"] += pruned
-            if cell["off"][2] != cell["on"][2]:
-                mismatches.append(f"{workload.name}/{seed}")
-    out = {}
-    for mode in ("off", "on"):
-        bucket = totals[mode]
-        out[mode] = {
-            "events": bucket["events"],
-            "seconds": round(bucket["seconds"], 4),
-            "events_per_sec": round(
-                bucket["events"] / bucket["seconds"]
-                if bucket["seconds"]
-                else 0.0,
-                1,
-            ),
-            "accesses_pruned": bucket["pruned"],
-        }
-    off_eps = out["off"]["events_per_sec"]
-    on_eps = out["on"]["events_per_sec"]
-    on_events = out["on"]["events"]
-    return {
-        "off": out["off"],
-        "on": out["on"],
-        "speedup": round(on_eps / off_eps, 2) if off_eps else None,
-        "fraction_pruned": round(
-            out["on"]["accesses_pruned"] / on_events if on_events else 0.0, 4
-        ),
-        "identical_sites": not mismatches,
-        "mismatches": mismatches,
-    }
-
-
-# ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
@@ -842,10 +517,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke", action="store_true",
         help=f"small basket for CI ({', '.join(SMOKE_BASKET)})",
-    )
-    parser.add_argument(
-        "--modes", default="fast,slow",
-        help="comma-separated fast-path modes to measure (fast, slow)",
     )
     parser.add_argument(
         "--repeats", type=int, default=1,
@@ -870,10 +541,6 @@ def main(argv=None) -> int:
              "'pre_pr_baseline' and report the speedup against it",
     )
     parser.add_argument(
-        "--no-equivalence", action="store_true",
-        help="skip the fast-vs-slow replay equivalence check",
-    )
-    parser.add_argument(
         "--no-shard-scaling", action="store_true",
         help="skip the sharded-replay throughput sweep "
              f"(shards in {{{', '.join(map(str, SHARD_COUNTS))}}})",
@@ -881,10 +548,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--no-trace-throughput", action="store_true",
         help="skip the JSONL-vs-columnar trace decode/replay measurement",
-    )
-    parser.add_argument(
-        "--no-static-prune", action="store_true",
-        help="skip the static check-pruning off-vs-on measurement",
     )
     parser.add_argument(
         "--attribution", action="store_true",
@@ -911,55 +574,33 @@ def main(argv=None) -> int:
         backend="iguard",
         shards=default_shards(),
         workers=1,
-        fast_path=DEFAULT_CONFIG.fast_path,
         logger=logger,
     )
 
     workloads = basket(smoke=args.smoke)
-    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    unknown = [m for m in modes if m not in ("fast", "slow")]
-    if unknown:
-        parser.error(f"unknown mode(s): {', '.join(unknown)}")
-
     result = {
-        "schema": 3,
+        "schema": 4,
         "harness": "repro.experiments.bench",
         "basket": "table4-racy-smoke" if args.smoke else "table4-racy",
         "workloads": [w.name for w in workloads],
         "repeats": args.repeats,
         "python": platform.python_version(),
-        "fast_path_default": _fast_path_mode(DEFAULT_CONFIG.fast_path),
-        "modes": {},
     }
-    # "fast" measures the shipping default ("auto": per-kernel adaptive
-    # elision); "slow" forces the bookkeeping off.  The modes run
-    # interleaved per cell so the fast/slow ratio is unbiased by process
-    # warm-up order.
-    mode_values = {m: ("auto" if m == "fast" else False) for m in modes}
     if args.attribution:
         obs_profiler.start_profiler()
     started = time.perf_counter()
-    with obs_profiler.phase("bench:modes"):
-        summaries = run_modes(
-            workloads, mode_values, repeats=args.repeats, seeds_limit=args.seeds
+    with obs_profiler.phase("bench:detection"):
+        summary = run_basket(
+            workloads, repeats=args.repeats, seeds_limit=args.seeds
         )
-    wall = round(time.perf_counter() - started, 2)
-    for mode in modes:
-        summary = summaries[mode]
-        summary["wall_seconds"] = wall
-        result["modes"][mode] = summary
-        output(
-            f"[{mode}] {summary['events']} events in {summary['seconds']}s "
-            f"-> {summary['events_per_sec']:.0f} events/sec "
-            f"(p50 {summary['p50_us_per_event']}us, "
-            f"p95 {summary['p95_us_per_event']}us, "
-            f"elision {summary['elision_rate']:.1%})"
-        )
-    if "fast" in result["modes"] and "slow" in result["modes"]:
-        slow = result["modes"]["slow"]["events_per_sec"]
-        fast = result["modes"]["fast"]["events_per_sec"]
-        result["fast_over_slow"] = round(fast / slow, 2) if slow else None
-        output(f"fast path speedup over fast-path-off: {result['fast_over_slow']}x")
+    summary["wall_seconds"] = round(time.perf_counter() - started, 2)
+    result["detection"] = summary
+    output(
+        f"{summary['events']} events in {summary['seconds']}s "
+        f"-> {summary['events_per_sec']:.0f} events/sec "
+        f"(p50 {summary['p50_us_per_event']}us, "
+        f"p95 {summary['p95_us_per_event']}us)"
+    )
 
     if obs_metrics.metrics_enabled():
         # The flight recorder's own cost, reported as a separate number so
@@ -984,12 +625,6 @@ def main(argv=None) -> int:
             f"({overhead['enabled_events_per_sec']:.0f} -> "
             f"{overhead['sampler_events_per_sec']:.0f} events/sec)"
         )
-
-    if not args.no_equivalence:
-        with obs_profiler.phase("bench:equivalence"):
-            result["equivalence"] = equivalence_check(workloads)
-        status = "identical" if result["equivalence"]["identical"] else "MISMATCH"
-        output(f"replay equivalence (fast vs slow): {status}")
 
     if not args.no_shard_scaling:
         with obs_profiler.phase("bench:shard_scaling"):
@@ -1029,22 +664,6 @@ def main(argv=None) -> int:
         sites = "identical" if throughput["identical_sites"] else "MISMATCH"
         output(f"trace replay race sites across formats: {sites}")
 
-    if not args.no_static_prune:
-        with obs_profiler.phase("bench:static_prune"):
-            result["static_prune"] = measure_static_prune(
-                workloads, repeats=args.repeats
-            )
-        prune = result["static_prune"]
-        output(
-            "static prune events/sec: "
-            f"off {prune['off']['events_per_sec']:.0f}, "
-            f"on {prune['on']['events_per_sec']:.0f} "
-            f"({prune['speedup']}x, "
-            f"{prune['fraction_pruned']:.1%} of accesses elided)"
-        )
-        sites = "identical" if prune["identical_sites"] else "MISMATCH"
-        output(f"static prune race sites off vs on: {sites}")
-
     if args.embed_baseline:
         with open(args.embed_baseline, "r", encoding="utf-8") as handle:
             baseline = json.load(handle)
@@ -1079,9 +698,6 @@ def main(argv=None) -> int:
                 f"regression check passed: {new_eps:.0f} >= {floor:.0f} "
                 f"events/sec floor"
             )
-    if not result.get("equivalence", {}).get("identical", True):
-        logger.error("EQUIVALENCE FAILURE: fast path changed detection output")
-        exit_code = 3
     if not result.get("shard_scaling", {}).get("identical_sites", True):
         logger.error(
             "SHARDING FAILURE: sharded replay changed detection output"
@@ -1092,27 +708,6 @@ def main(argv=None) -> int:
             "FORMAT FAILURE: columnar replay changed detection output"
         )
         exit_code = 3
-    if not result.get("static_prune", {}).get("identical_sites", True):
-        logger.error(
-            "PRUNING FAILURE: static check pruning changed detection output"
-        )
-        exit_code = 3
-    fast_over_slow = result.get("fast_over_slow")
-    if (
-        fast_over_slow is not None
-        and fast_over_slow < 1.0 - FAST_PATH_JITTER_ALLOWANCE
-    ):
-        # The adaptive fast path's whole contract: "auto" must never be
-        # slower than fast-path-off, because below break-even it turns
-        # the bookkeeping off.  A ratio under 1.0 beyond measurement
-        # jitter means the warm-up or decision logic is costing more
-        # than it saves.
-        logger.error(
-            "FAST PATH REGRESSION: auto mode is %.2fx fast-path-off "
-            "(must be >= 1.0 beyond the %.0f%% jitter allowance)",
-            fast_over_slow, FAST_PATH_JITTER_ALLOWANCE * 100,
-        )
-        exit_code = exit_code or 4
 
     if args.attribution:
         profiler = obs_profiler.stop_profiler()
@@ -1144,8 +739,15 @@ def main(argv=None) -> int:
 
 
 def _headline_events_per_sec(result: dict) -> float:
-    """The headline metric of a results JSON: the fast mode's events/sec
-    (falling back to whichever single mode was measured)."""
+    """The headline events/sec of a results JSON, in either format.
+
+    Current results carry one ``detection`` summary.  Older results
+    (schema 3 and below) carry per-mode summaries under ``modes``: their
+    headline is the ``fast`` mode, else whichever single mode was
+    measured.
+    """
+    if "detection" in result:
+        return float(result["detection"].get("events_per_sec", 0.0))
     modes = result.get("modes", {})
     for name in ("fast", "slow"):
         if name in modes:

@@ -23,6 +23,11 @@ from repro.gpu.instructions import (
     syncwarp,
 )
 
+from repro.core.sharding import replay_trace_sharded
+from repro.engine.replay import capture_workload, replay
+from repro.gpu.events import LaunchEvent, MemoryEvent
+from repro.workloads import racy_workloads
+
 from tests.conftest import detect, fresh_device
 
 
@@ -395,3 +400,64 @@ class TestScoRDMode:
                         config=config)
         assert det.race_count == 1
         assert types_of(det) == {RaceType.ATOMIC_SCOPE}
+
+
+class TestDefaultArgumentHygiene:
+    def test_cost_objects_not_shared_between_detectors(self):
+        a, b = IGuard(), IGuard()
+        assert a.costs is not b.costs
+        assert a.contention_params is not b.contention_params
+        assert a.uvm_params is not b.uvm_params
+
+
+def _memory_events_per_launch(events):
+    """How many memory events the stream delivers to each launch."""
+    counts = []
+    for event in events:
+        if isinstance(event, LaunchEvent):
+            counts.append(0)
+        elif isinstance(event, MemoryEvent):
+            counts[-1] += 1
+    return counts
+
+
+@pytest.fixture(scope="module")
+def racy_basket_streams():
+    """One captured event stream per (racy workload, pinned seed)."""
+    streams = []
+    for workload in racy_workloads():
+        trace = capture_workload(workload)
+        for seed, events in trace.runs():
+            streams.append((f"{workload.name}/{seed}", list(events)))
+    return streams
+
+
+class TestSinglePathLedger:
+    """Every delivered access is either checked in full or coalesced.
+
+    There is one path to the Table 2 checks, so per launch the checked
+    and coalesced counts must add up to the memory events the stream
+    delivered, and nothing is ever elided — inline at one and four
+    shards, and through the batched sharded drain.
+    """
+
+    @pytest.mark.parametrize("driver", ["shards=1", "shards=4", "batched"])
+    def test_checked_plus_coalesced_equals_delivered(
+        self, driver, racy_basket_streams
+    ):
+        for name, events in racy_basket_streams:
+            if driver == "batched":
+                stats = replay_trace_sharded(events, shards=4).tool.stats
+            else:
+                tool = IGuard(shards=int(driver.split("=")[1]))
+                replay(events, tools=[tool])
+                stats = tool.stats
+            delivered = _memory_events_per_launch(events)
+            assert len(stats) == len(delivered), name
+            for launch, (stat, count) in enumerate(zip(stats, delivered)):
+                where = f"{name} launch {launch} ({stat.kernel})"
+                assert stat.accesses_elided == 0, where
+                assert (
+                    stat.accesses_checked + stat.accesses_coalesced == count
+                ), where
+

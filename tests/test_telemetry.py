@@ -26,6 +26,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import openmetrics
 from repro.obs import profiler as obs_profiler
 from repro.obs import telemetry
+from repro.obs import watchdog as watchdog_module
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.openmetrics import (
     MetricsServer,
@@ -434,17 +435,6 @@ class TestWatchdog:
         (finding,) = wd.observe(_sample(), [], totals)
         assert finding.rule == "shard_imbalance"
 
-    def test_fastpath_churn(self):
-        wd = Watchdog(WatchdogConfig(churn_ratio=0.5, churn_min_decisions=8))
-        totals = {
-            "detector.fastpath.auto_kept": {"type": "counter", "value": 2},
-            "detector.fastpath.auto_disabled": {"type": "counter",
-                                                "value": 8},
-        }
-        (finding,) = wd.observe(_sample(), [], totals)
-        assert finding.rule == "fastpath_churn"
-        assert finding.detail["disabled"] == 8
-
     def test_retry_burn_scales_to_per_minute(self):
         wd = Watchdog(WatchdogConfig(retries_per_min=6.0))
         # 1 retry in a 1s window = 60/min: burning.
@@ -459,10 +449,28 @@ class TestWatchdog:
         ) == []
 
     def test_config_from_env_spec(self):
-        cfg = WatchdogConfig.from_env("stall_s=2.5,churn_ratio=0.9")
+        cfg = WatchdogConfig.from_env("stall_s=2.5,imbalance_ratio=0.9")
         assert cfg.stall_s == 2.5
-        assert cfg.churn_ratio == 0.9
-        assert cfg.imbalance_ratio == WatchdogConfig().imbalance_ratio
+        assert cfg.imbalance_ratio == 0.9
+        assert cfg.retries_per_min == WatchdogConfig().retries_per_min
+
+    @pytest.mark.parametrize(
+        "spec", ["stall_s=abc", "stall_s", "as_dict=1", "churn_ratio=0.9"]
+    )
+    def test_config_from_env_ignores_bad_entries(self, spec, monkeypatch):
+        # Outside input degrades to the defaults with a warning: a
+        # malformed value, a key with no value, a method name, and a
+        # removed threshold are all ignored.
+        warnings = []
+        monkeypatch.setattr(
+            watchdog_module.logger, "warning",
+            lambda msg, *args: warnings.append(msg % args),
+        )
+        cfg = WatchdogConfig.from_env(spec + ",quarantine_events=3")
+        assert cfg.as_dict() == {
+            **WatchdogConfig().as_dict(), "quarantine_events": 3
+        }
+        assert len(warnings) == 1 and "ignored" in warnings[0]
 
     def test_health_block_shape(self):
         wd = Watchdog(WatchdogConfig(stall_s=1.0))
