@@ -80,15 +80,16 @@ CHUNK_ROWS = 8192
 #: Row event-type codes (the ``et`` column).
 ET_GPU, ET_RUN, ET_ALLOC, ET_LAUNCH, ET_MEM, ET_SYNC, ET_END = range(7)
 
-_ACCESS_CODES = {AccessKind.LOAD: 0, AccessKind.STORE: 1, AccessKind.ATOMIC: 2}
 _ACCESS_BY_CODE = (AccessKind.LOAD, AccessKind.STORE, AccessKind.ATOMIC)
-_SYNC_CODES = {
-    SyncKind.SYNCTHREADS: 0, SyncKind.SYNCWARP: 1, SyncKind.FENCE: 2,
-}
 _SYNC_BY_CODE = (SyncKind.SYNCTHREADS, SyncKind.SYNCWARP, SyncKind.FENCE)
 #: Atomic ops by wire code; 0 means "no atomic op" in the column.
 _OP_BY_CODE = (None,) + tuple(AtomicOp)
-_OP_CODES = {op: i for i, op in enumerate(_OP_BY_CODE) if op is not None}
+#: Wire codes keyed by member identity, for the encoder: ``Enum.__hash__``
+#: is a Python-level call, and members (and None) are singletons, so
+#: ``id()`` is an exact and cheaper key.
+_ACCESS_CODE_BY_ID = {id(k): code for code, k in enumerate(_ACCESS_BY_CODE)}
+_SYNC_CODE_BY_ID = {id(k): code for code, k in enumerate(_SYNC_BY_CODE)}
+_OP_CODE_BY_ID = {id(op): code for code, op in enumerate(_OP_BY_CODE)}
 _SCOPE_BY_CODE = tuple(Scope(v) for v in sorted(int(s) for s in Scope))
 
 _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
@@ -264,6 +265,44 @@ def _where_row(where: ThreadLocation) -> Tuple[int, ...]:
     )
 
 
+class _ChunkMemo:
+    """Per-chunk memo of the row encodings events share by object.
+
+    The live pipeline pins one :class:`ThreadLocation` per thread (pooled
+    by ``locate``) and one active-mask frozenset per scheduler batch, so a
+    chunk encodes each of them once and references it by ``id()``.  The
+    key is only sound while the object is alive: the chunk's event slice
+    holds every keyed object for the memo's whole lifetime, and a fresh
+    memo per chunk never sees an id reused by a later object.
+    """
+
+    __slots__ = ("where_slot", "where_rows", "mask_bits")
+
+    def __init__(self) -> None:
+        self.where_slot: Dict[int, int] = {}
+        self.where_rows: List[Tuple[int, ...]] = []
+        self.mask_bits: Dict[int, int] = {}
+
+    def where(self, where: ThreadLocation) -> int:
+        """Row index of ``where`` in :attr:`where_rows`."""
+        slot = self.where_slot.get(id(where))
+        if slot is None:
+            slot = self.where_slot[id(where)] = len(self.where_rows)
+            self.where_rows.append(_where_row(where))
+        return slot
+
+    def mask(self, mask) -> int:
+        bits = self.mask_bits.get(id(mask))
+        if bits is None:
+            bits = self.mask_bits[id(mask)] = _encode_mask(mask)
+        return bits
+
+    def where_block(self, slots: List[int]):
+        """The ``(rows, 6)`` int64 where column for ``slots``."""
+        rows = np.asarray(self.where_rows, dtype=np.int64)
+        return rows[np.asarray(slots, dtype=np.intp)]
+
+
 def write_columnar(handle, events, chunk_rows: int = CHUNK_ROWS) -> None:
     """Write the typed event stream to an open binary ``handle``."""
     events = list(events)
@@ -281,9 +320,22 @@ def write_columnar(handle, events, chunk_rows: int = CHUNK_ROWS) -> None:
 
 
 def _write_chunk(handle, events, pool: _PoolWriter) -> None:
+    memo = _ChunkMemo()
     et: List[int] = []
-    mem: List[tuple] = []
+    # Memory-event columns, one list per block (tags/payloads hold three
+    # entries per row: value_stored, value_loaded, compare).
+    m_kind: List[int] = []
+    m_addr: List[int] = []
+    m_where: List[int] = []
+    m_ip: List[int] = []
+    m_mask: List[int] = []
+    m_scope: List[int] = []
+    m_op: List[int] = []
+    m_batch: List[int] = []
+    m_tags: List[int] = []
+    m_payloads: List[int] = []
     syn: List[tuple] = []
+    syn_where: List[int] = []
     lau: List[tuple] = []
     alo: List[tuple] = []
     end: List[tuple] = []
@@ -293,28 +345,33 @@ def _write_chunk(handle, events, pool: _PoolWriter) -> None:
         kind = type(event)
         if kind is MemoryEvent:
             et.append(ET_MEM)
-            vs = _encode_value(event.value_stored, pool)
-            vl = _encode_value(event.value_loaded, pool)
-            cmp_ = _encode_value(event.compare, pool)
-            mem.append((
-                _ACCESS_CODES[event.kind],
-                event.address,
-                _where_row(event.where),
-                pool.add(event.ip),
-                _encode_mask(event.active_mask),
-                int(event.scope),
-                _OP_CODES[event.atomic_op] if event.atomic_op is not None else 0,
-                event.batch,
-                (vs[0], vl[0], cmp_[0]),
-                (vs[1], vl[1], cmp_[1]),
-            ))
+            # Pool order is part of the format: the three values, then ip.
+            for value in (event.value_stored, event.value_loaded, event.compare):
+                if value is None:
+                    m_tags.append(0)
+                    m_payloads.append(0)
+                elif type(value) is int and _I64_MIN <= value <= _I64_MAX:
+                    m_tags.append(1)
+                    m_payloads.append(value)
+                else:
+                    tag, payload = _encode_value(value, pool)
+                    m_tags.append(tag)
+                    m_payloads.append(payload)
+            m_kind.append(_ACCESS_CODE_BY_ID[id(event.kind)])
+            m_addr.append(event.address)
+            m_where.append(memo.where(event.where))
+            m_ip.append(pool.add(event.ip))
+            m_mask.append(memo.mask(event.active_mask))
+            m_scope.append(int(event.scope))
+            m_op.append(_OP_CODE_BY_ID[id(event.atomic_op)])
+            m_batch.append(event.batch)
         elif kind is SyncEvent:
             et.append(ET_SYNC)
+            syn_where.append(memo.where(event.where))
             syn.append((
-                _SYNC_CODES[event.kind],
-                _where_row(event.where),
+                _SYNC_CODE_BY_ID[id(event.kind)],
                 pool.add(event.ip),
-                _encode_mask(event.active_mask),
+                memo.mask(event.active_mask),
                 int(event.scope),
                 event.batch,
             ))
@@ -357,7 +414,7 @@ def _write_chunk(handle, events, pool: _PoolWriter) -> None:
 
     counts = {}
     for key, group in (
-        ("m", mem), ("y", syn), ("l", lau), ("a", alo),
+        ("m", m_kind), ("y", syn), ("l", lau), ("a", alo),
         ("e", end), ("r", run), ("g", gpu),
     ):
         if group:
@@ -372,26 +429,29 @@ def _write_chunk(handle, events, pool: _PoolWriter) -> None:
     )
     handle.write(b"\n")
     _write_block(handle, np.asarray(et, dtype=np.uint8))
-    if mem:
-        cols = list(zip(*mem))
-        _write_block(handle, np.asarray(cols[0], dtype=np.uint8))   # kind
-        _write_block(handle, np.asarray(cols[1], dtype=np.uint64))  # addr
-        _write_block(handle, np.asarray(cols[2], dtype=np.int64))   # where
-        _write_block(handle, np.asarray(cols[3], dtype=np.uint32))  # ip
-        _write_block(handle, np.asarray(cols[4], dtype=np.uint64))  # mask
-        _write_block(handle, np.asarray(cols[5], dtype=np.uint8))   # scope
-        _write_block(handle, np.asarray(cols[6], dtype=np.uint8))   # op
-        _write_block(handle, np.asarray(cols[7], dtype=np.int64))   # batch
-        _write_block(handle, np.asarray(cols[8], dtype=np.uint8))   # value tags
-        _write_block(handle, np.asarray(cols[9], dtype=np.int64))   # payloads
+    if m_kind:
+        _write_block(handle, np.asarray(m_kind, dtype=np.uint8))
+        _write_block(handle, np.asarray(m_addr, dtype=np.uint64))
+        _write_block(handle, memo.where_block(m_where))
+        _write_block(handle, np.asarray(m_ip, dtype=np.uint32))
+        _write_block(handle, np.asarray(m_mask, dtype=np.uint64))
+        _write_block(handle, np.asarray(m_scope, dtype=np.uint8))
+        _write_block(handle, np.asarray(m_op, dtype=np.uint8))
+        _write_block(handle, np.asarray(m_batch, dtype=np.int64))
+        _write_block(
+            handle, np.asarray(m_tags, dtype=np.uint8).reshape(-1, 3)
+        )
+        _write_block(
+            handle, np.asarray(m_payloads, dtype=np.int64).reshape(-1, 3)
+        )
     if syn:
         cols = list(zip(*syn))
         _write_block(handle, np.asarray(cols[0], dtype=np.uint8))
-        _write_block(handle, np.asarray(cols[1], dtype=np.int64))
-        _write_block(handle, np.asarray(cols[2], dtype=np.uint32))
-        _write_block(handle, np.asarray(cols[3], dtype=np.uint64))
-        _write_block(handle, np.asarray(cols[4], dtype=np.uint8))
-        _write_block(handle, np.asarray(cols[5], dtype=np.int64))
+        _write_block(handle, memo.where_block(syn_where))
+        _write_block(handle, np.asarray(cols[1], dtype=np.uint32))
+        _write_block(handle, np.asarray(cols[2], dtype=np.uint64))
+        _write_block(handle, np.asarray(cols[3], dtype=np.uint8))
+        _write_block(handle, np.asarray(cols[4], dtype=np.int64))
     if lau:
         cols = list(zip(*lau))
         _write_block(handle, np.asarray(cols[0], dtype=np.uint32))

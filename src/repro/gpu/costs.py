@@ -25,7 +25,9 @@ optimizations).  They are not measurements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, Tuple
 
 from repro.gpu.instructions import (
     Atomic,
@@ -54,27 +56,45 @@ class CostParams:
     syncwarp: int = 4
     compute_unit: int = 1
 
+    @cached_property
+    def prices(self) -> Dict[type, Tuple[int, ...]]:
+        """The one cost table: cycles per (instruction class, scope).
+
+        Each row is indexed by the raw :class:`Scope` value and already
+        holds the *effective* scope's price, so ``Scope.SYSTEM`` costs the
+        device price without a lookup of ``Scope.effective``.  Unscoped
+        classes repeat one price; the ``Compute`` row is the per-cycle
+        unit.  :meth:`cost_of` and the device executor's inlined charges
+        both read this table.
+        """
+
+        def scoped(block: int, device: int) -> Tuple[int, ...]:
+            return tuple(
+                block if s.effective is Scope.BLOCK else device for s in Scope
+            )
+
+        def flat(price: int) -> Tuple[int, ...]:
+            return (price,) * len(Scope)
+
+        return {
+            Load: flat(self.load),
+            Store: flat(self.store),
+            Atomic: scoped(self.atomic_block, self.atomic_device),
+            Fence: scoped(self.fence_block, self.fence_device),
+            Syncthreads: flat(self.syncthreads),
+            Syncwarp: flat(self.syncwarp),
+            Compute: flat(self.compute_unit),
+        }
+
     def cost_of(self, instr: Instruction) -> int:
         """Base cycle cost of one dynamic instruction."""
-        if isinstance(instr, Load):
-            return self.load
-        if isinstance(instr, Store):
-            return self.store
-        if isinstance(instr, Atomic):
-            if instr.scope.effective is Scope.BLOCK:
-                return self.atomic_block
-            return self.atomic_device
-        if isinstance(instr, Fence):
-            if instr.scope.effective is Scope.BLOCK:
-                return self.fence_block
-            return self.fence_device
-        if isinstance(instr, Syncthreads):
-            return self.syncthreads
-        if isinstance(instr, Syncwarp):
-            return self.syncwarp
-        if isinstance(instr, Compute):
-            return self.compute_unit * instr.cycles
-        return 1
+        kind = type(instr)
+        prices = self.prices.get(kind)
+        if prices is None:
+            return 1
+        if kind is Compute:
+            return prices[0] * instr.cycles
+        return prices[getattr(instr, "scope", Scope.BLOCK)]
 
 
 DEFAULT_COSTS = CostParams()

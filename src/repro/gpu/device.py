@@ -23,12 +23,13 @@ from repro.gpu.events import AccessKind, MemoryEvent, SyncEvent, SyncKind
 from repro.gpu.ids import locate, warps_in_block
 from repro.gpu.instructions import (
     Atomic,
-    AtomicOp,
     Compute,
     Fence,
     Load,
     Scope,
     Store,
+    Syncthreads,
+    Syncwarp,
 )
 from repro.gpu.kernel import KernelThread, ThreadCtx
 from repro.gpu.memory import GlobalArray, GlobalMemory
@@ -36,6 +37,9 @@ from repro.gpu.scheduler import Scheduler, SchedulerKind
 from repro.instrument.nvbit import LaunchInfo, Tool
 from repro.instrument.timing import Category, TimingBreakdown
 from repro.obs.spans import TRACER, now_us
+
+#: ``Scope.effective`` by raw scope value: system collapses to device.
+_EFFECTIVE_SCOPE = tuple(s.effective for s in Scope)
 
 
 @dataclass
@@ -251,96 +255,102 @@ class Device:
 
 
 class _Executor:
-    """The scheduler's machine interface for one launch."""
+    """The scheduler's machine interface for one launch.
 
-    __slots__ = ("device", "launch", "instruction_count")
+    The hot path dispatches on ``type(instr)`` and adds each instruction's
+    price from ``CostParams.prices`` straight to the launch's shared NATIVE
+    account, in instruction order, so the float sums equal those of
+    ``TimingBreakdown.charge``.  Everything a call would otherwise re-resolve
+    per instruction (the account, the memory, the bus publishers) is bound
+    once per launch.
+    """
+
+    __slots__ = (
+        "launch", "instruction_count", "_native", "_prices", "_memory",
+        "_publish_memory", "_publish_sync",
+    )
 
     def __init__(self, device: Device, launch: LaunchInfo):
-        self.device = device
         self.launch = launch
         self.instruction_count = 0
+        self._native = launch.timing.accounts[Category.NATIVE]
+        self._prices = device.costs.prices
+        self._memory = device.memory
+        self._publish_memory = device.bus.publish_memory
+        self._publish_sync = device.bus.publish_sync
 
     # -- memory / fence / compute --------------------------------------
 
     def exec_instruction(self, thread: KernelThread, instr, active_mask, batch):
-        device = self.device
-        timing = self.launch.timing
-        timing.charge(Category.NATIVE, device.costs.cost_of(instr))
+        kind = type(instr)
         self.instruction_count += 1
         loc = thread.ctx.location
-        ip = thread.pending_ip
 
-        if isinstance(instr, Load):
-            value = device.memory.device_load(instr.address, loc.block_id)
-            event = MemoryEvent(
-                kind=AccessKind.LOAD,
-                address=instr.address,
-                where=loc,
-                ip=ip,
-                active_mask=active_mask,
-                value_loaded=value,
-                batch=batch,
+        if kind is Atomic:
+            scope = instr.scope
+            self._native.parallel += self._prices[Atomic][scope]
+            address = instr.address
+            op = instr.op
+            value = instr.value
+            compare = instr.compare
+            old = self._memory.device_atomic(
+                op, address, value, loc.block_id, scope=scope, compare=compare
             )
-            self._notify_memory(event)
-            return value
-
-        if isinstance(instr, Store):
-            device.memory.device_store(instr.address, instr.value, loc.block_id)
-            event = MemoryEvent(
-                kind=AccessKind.STORE,
-                address=instr.address,
-                where=loc,
-                ip=ip,
-                active_mask=active_mask,
-                value_stored=instr.value,
-                batch=batch,
+            self._publish_memory(
+                MemoryEvent(
+                    AccessKind.ATOMIC, address, loc, thread.pending_ip,
+                    active_mask, _EFFECTIVE_SCOPE[scope], op, value, old,
+                    compare, batch,
+                ),
+                self.launch,
             )
-            self._notify_memory(event)
-            return None
-
-        if isinstance(instr, Atomic):
-            old = device.memory.device_atomic(
-                instr.op,
-                instr.address,
-                instr.value,
-                loc.block_id,
-                scope=instr.scope,
-                compare=instr.compare,
-            )
-            event = MemoryEvent(
-                kind=AccessKind.ATOMIC,
-                address=instr.address,
-                where=loc,
-                ip=ip,
-                active_mask=active_mask,
-                scope=instr.scope.effective,
-                atomic_op=instr.op,
-                value_stored=instr.value,
-                value_loaded=old,
-                compare=instr.compare,
-                batch=batch,
-            )
-            self._notify_memory(event)
             return old
 
-        if isinstance(instr, Fence):
-            if (
-                device.memory.weak_visibility
-                and instr.scope.effective is Scope.DEVICE
-            ):
-                device.memory.flush_block(loc.block_id)
-            event = SyncEvent(
-                kind=SyncKind.FENCE,
-                where=loc,
-                ip=ip,
-                active_mask=active_mask,
-                scope=instr.scope.effective,
-                batch=batch,
+        if kind is Load:
+            self._native.parallel += self._prices[Load][0]
+            address = instr.address
+            value = self._memory.device_load(address, loc.block_id)
+            self._publish_memory(
+                MemoryEvent(
+                    AccessKind.LOAD, address, loc, thread.pending_ip,
+                    active_mask, Scope.DEVICE, None, None, value, None, batch,
+                ),
+                self.launch,
             )
-            self._notify_sync(event)
+            return value
+
+        if kind is Store:
+            self._native.parallel += self._prices[Store][0]
+            address = instr.address
+            value = instr.value
+            self._memory.device_store(address, value, loc.block_id)
+            self._publish_memory(
+                MemoryEvent(
+                    AccessKind.STORE, address, loc, thread.pending_ip,
+                    active_mask, Scope.DEVICE, None, value, None, None, batch,
+                ),
+                self.launch,
+            )
             return None
 
-        if isinstance(instr, Compute):
+        if kind is Compute:
+            self._native.parallel += self._prices[Compute][0] * instr.cycles
+            return None
+
+        if kind is Fence:
+            scope = instr.scope
+            self._native.parallel += self._prices[Fence][scope]
+            effective = _EFFECTIVE_SCOPE[scope]
+            memory = self._memory
+            if memory.weak_visibility and effective is Scope.DEVICE:
+                memory.flush_block(loc.block_id)
+            self._publish_sync(
+                SyncEvent(
+                    SyncKind.FENCE, loc, thread.pending_ip, active_mask,
+                    effective, batch,
+                ),
+                self.launch,
+            )
             return None
 
         raise TypeError(f"unhandled instruction {instr!r}")  # pragma: no cover
@@ -348,41 +358,19 @@ class _Executor:
     # -- barriers --------------------------------------------------------
 
     def on_block_barrier(self, block_id: int, threads, batch: int) -> None:
-        timing = self.launch.timing
-        timing.charge(
-            Category.NATIVE, self.device.costs.syncthreads * len(threads)
-        )
-        self.instruction_count += len(threads)
-        lead = threads[0]
-        event = SyncEvent(
-            kind=SyncKind.SYNCTHREADS,
-            where=lead.ctx.location,
-            ip=lead.pending_ip,
-            active_mask=frozenset(t.ctx.lane for t in threads),
-            scope=Scope.BLOCK,
-            batch=batch,
-        )
-        self._notify_sync(event)
+        self._barrier(SyncKind.SYNCTHREADS, Syncthreads, threads, batch)
 
     def on_warp_barrier(self, warp_id: int, threads, batch: int) -> None:
-        timing = self.launch.timing
-        timing.charge(Category.NATIVE, self.device.costs.syncwarp * len(threads))
+        self._barrier(SyncKind.SYNCWARP, Syncwarp, threads, batch)
+
+    def _barrier(self, kind: SyncKind, instr_class, threads, batch: int) -> None:
+        self._native.parallel += self._prices[instr_class][0] * len(threads)
         self.instruction_count += len(threads)
         lead = threads[0]
-        event = SyncEvent(
-            kind=SyncKind.SYNCWARP,
-            where=lead.ctx.location,
-            ip=lead.pending_ip,
-            active_mask=frozenset(t.ctx.lane for t in threads),
-            scope=Scope.BLOCK,
-            batch=batch,
+        self._publish_sync(
+            SyncEvent(
+                kind, lead.ctx.location, lead.pending_ip,
+                frozenset(t.ctx.lane for t in threads), Scope.BLOCK, batch,
+            ),
+            self.launch,
         )
-        self._notify_sync(event)
-
-    # -- fan-out ----------------------------------------------------------
-
-    def _notify_memory(self, event: MemoryEvent) -> None:
-        self.device.bus.publish_memory(event, self.launch)
-
-    def _notify_sync(self, event: SyncEvent) -> None:
-        self.device.bus.publish_sync(event, self.launch)

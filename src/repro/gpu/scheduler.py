@@ -46,6 +46,10 @@ from repro.obs.metrics import HOT
 from repro.obs.spans import TRACER
 
 
+#: Instruction classes the machine executes; barriers are the scheduler's.
+_EXECUTED = frozenset((Load, Store, Atomic, Fence, Compute))
+
+
 class SchedulerKind(enum.Enum):
     """Which warp-scheduling policy to simulate."""
 
@@ -53,22 +57,10 @@ class SchedulerKind(enum.Enum):
     ITS = "its"
 
 
-def _group_key(thread: KernelThread) -> Tuple[str, str]:
-    """Convergence-group key: source location plus instruction class.
-
-    Two threads suspended at the same line can still be at *different*
-    instructions of that line (e.g. the load and the store of a compound
-    assignment); including the instruction class keeps such threads in
-    separate groups.
-    """
-    instr = thread.pending
-    return (thread.pending_ip, type(instr).__name__)
-
-
 class _WarpState:
     """Scheduler-side bookkeeping for one warp."""
 
-    __slots__ = ("warp_id", "block_id", "threads", "diverged")
+    __slots__ = ("warp_id", "block_id", "threads", "diverged", "ready")
 
     def __init__(self, warp_id: int, block_id: int):
         self.warp_id = warp_id
@@ -78,14 +70,15 @@ class _WarpState:
         #: seen in more than one convergence group (tracks divergence /
         #: reconvergence transitions for the metrics registry).
         self.diverged = False
+        #: Cached :meth:`has_ready`, refreshed by the scheduler after every
+        #: batch or barrier release that can change this warp's threads.
+        self.ready = False
 
     def has_ready(self) -> bool:
-        """Whether any thread of the warp is READY (cheap candidate test).
+        """Whether any thread of the warp is READY.
 
         ``ready_groups`` is nonempty exactly when this is true, but this
-        scan allocates nothing — the scheduler uses it to shortlist
-        candidate warps and only builds the group structure for the one
-        warp it actually picks.
+        scan allocates nothing.
         """
         for thread in self.threads:
             if thread.status is ThreadStatus.READY:
@@ -93,11 +86,27 @@ class _WarpState:
         return False
 
     def ready_groups(self) -> List[List[KernelThread]]:
-        """Convergence groups of READY threads, in (line, kind) order."""
+        """Convergence groups of READY threads, in (line, kind) order.
+
+        The key is the source location plus the instruction class: two
+        threads suspended at the same line can still be at *different*
+        instructions of that line (e.g. the load and the store of a
+        compound assignment), and must stay in separate groups.  This runs
+        once per scheduled batch; a converged warp has one group and skips
+        the sort.
+        """
+        ready = ThreadStatus.READY
         groups: Dict[Tuple[str, str], List[KernelThread]] = {}
         for thread in self.threads:
-            if thread.status is ThreadStatus.READY:
-                groups.setdefault(_group_key(thread), []).append(thread)
+            if thread.status is ready:
+                key = (thread.pending_ip, type(thread.pending).__name__)
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = [thread]
+                else:
+                    group.append(thread)
+        if len(groups) == 1:
+            return list(groups.values())
         return [groups[key] for key in sorted(groups)]
 
     def live_threads(self) -> List[KernelThread]:
@@ -149,6 +158,7 @@ class Scheduler:
         self.timed_out = False
         self._warps: List[_WarpState] = []
         self._blocks: Dict[int, List[KernelThread]] = {}
+        self._block_warps: Dict[int, List[_WarpState]] = {}
         self._all_threads: List[KernelThread] = list(threads)
         #: Completion scan hint: threads before this index are done.  A
         #: done thread never resumes, so the prefix only grows and the
@@ -168,10 +178,12 @@ class Scheduler:
                 warp = _WarpState(loc.warp_id, loc.block_id)
                 warp_map[loc.warp_id] = warp
                 self._warps.append(warp)
+                self._block_warps.setdefault(loc.block_id, []).append(warp)
             warp.threads.append(thread)
             self._blocks.setdefault(loc.block_id, []).append(thread)
         for warp in self._warps:
             warp.threads.sort(key=lambda t: t.ctx.lane)
+            warp.ready = warp.has_ready()
 
     # ------------------------------------------------------------------
     # Batch selection
@@ -180,13 +192,14 @@ class Scheduler:
     def _pick_batch(self) -> Optional[Tuple[_WarpState, List[KernelThread]]]:
         """Choose the next convergence group to execute, or None.
 
-        Candidate warps are shortlisted with the allocation-free
-        ``has_ready`` test; the group structure is built only for the one
-        warp selected.  The warp choice draws on the candidate *count*,
-        which is identical either way, so the RNG stream — and therefore
-        every simulated interleaving — is unchanged by the shortcut.
+        Candidate warps are shortlisted by their cached ``ready`` flag, in
+        warp order; the group structure is built only for the one warp
+        selected.  Only a batch or a barrier release changes a thread's
+        status, and each refreshes the flags of the warps it touched, so
+        the candidate list — and with it the RNG stream and every
+        simulated interleaving — equals a full ``has_ready`` scan.
         """
-        candidates = [warp for warp in self._warps if warp.has_ready()]
+        candidates = [warp for warp in self._warps if warp.ready]
         if not candidates:
             return None
         if HOT.enabled:
@@ -242,6 +255,8 @@ class Scheduler:
             machine.on_block_barrier(block_id, threads, self.batch_counter)
             for thread in threads:
                 thread.release_from_barrier()
+            for warp in self._block_warps[block_id]:
+                warp.ready = warp.has_ready()
 
     def _try_release_warp_barrier(self, warp: _WarpState, machine) -> None:
         if warp.warp_barrier_ready():
@@ -254,6 +269,7 @@ class Scheduler:
             machine.on_warp_barrier(warp.warp_id, waiting, self.batch_counter)
             for thread in waiting:
                 thread.release_from_barrier()
+            warp.ready = warp.has_ready()
 
     # ------------------------------------------------------------------
     # Main loop
@@ -349,23 +365,27 @@ class Scheduler:
             self.span_activity[warp.warp_id] = (
                 (batch, batch) if bounds is None else (bounds[0], batch)
             )
-        active_mask: FrozenSet[int] = frozenset(t.ctx.lane for t in group)
+        active_mask: FrozenSet[int] = frozenset(
+            [t.ctx.location.lane for t in group]
+        )
+        execute = machine.exec_instruction
         barrier_blocks = set()
         barrier_warps = []
         for thread in group:
             instr = thread.pending
-            if isinstance(instr, Syncthreads):
+            kind = type(instr)
+            if kind in _EXECUTED:
+                thread.complete(execute(thread, instr, active_mask, batch))
+            elif kind is Syncthreads:
                 thread.park_at_barrier(ThreadStatus.AT_BLOCK_BARRIER)
-                barrier_blocks.add(thread.ctx.block_id)
-            elif isinstance(instr, Syncwarp):
+                barrier_blocks.add(thread.ctx.location.block_id)
+            elif kind is Syncwarp:
                 thread.park_at_barrier(ThreadStatus.AT_WARP_BARRIER, instr.mask)
                 barrier_warps.append(warp)
-            elif isinstance(instr, (Load, Store, Atomic, Fence, Compute)):
-                result = machine.exec_instruction(thread, instr, active_mask, batch)
-                thread.complete(result)
             else:  # pragma: no cover - Instruction subclasses are closed
                 raise TypeError(f"unhandled instruction {instr!r}")
         for block_id in barrier_blocks:
             self._try_release_block_barrier(block_id, machine)
         for barrier_warp in barrier_warps:
             self._try_release_warp_barrier(barrier_warp, machine)
+        warp.ready = warp.has_ready()

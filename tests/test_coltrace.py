@@ -93,6 +93,45 @@ class TestColumnarRoundTrip:
         for original, copy in zip(events, restored):
             assert type(copy.value_stored) is type(original.value_stored)
 
+    def test_row_memo_never_aliases_objects(self):
+        # The encoder memoizes where rows and active masks by id().  Equal
+        # but distinct objects must each encode to their own value, and so
+        # must objects freed between chunks or calls whose ids are reused
+        # by later objects with different values.
+        from repro.gpu.events import AccessKind, MemoryEvent, SyncEvent, SyncKind
+        from repro.gpu.ids import ThreadLocation, locate
+
+        def stream(salt):
+            for i in range(24):
+                lane = (i + salt) % 4
+                pooled = locate(4 * (i % 3) + lane, 8, 4)
+                twin = ThreadLocation(
+                    pooled.global_tid, pooled.block_id, pooled.tid_in_block,
+                    pooled.warp_id, pooled.lane, pooled.warp_in_block,
+                )
+                fresh = ThreadLocation(100 + i + salt, i, i % 8, i + salt, i % 4, i % 2)
+                mask = frozenset([lane, (lane + i) % 4])
+                yield MemoryEvent(
+                    kind=AccessKind.LOAD, address=4 * i, where=pooled, ip="k:1",
+                    active_mask=mask, value_loaded=i, batch=i,
+                )
+                yield MemoryEvent(
+                    kind=AccessKind.STORE, address=4 * i, where=twin, ip="k:2",
+                    active_mask=frozenset(sorted(mask)), value_stored=-i, batch=i,
+                )
+                yield SyncEvent(
+                    kind=SyncKind.FENCE, where=fresh, ip="k:3",
+                    active_mask=frozenset([(i + salt) % 4]), batch=i,
+                )
+
+        for salt in range(3):
+            buffer = io.BytesIO()
+            # A generator: the writer holds the only references.
+            write_columnar(buffer, stream(salt), chunk_rows=2)
+            restored, corruption = read_events(io.BytesIO(buffer.getvalue()))
+            assert corruption is None
+            assert restored == list(stream(salt))
+
     def test_file_save_load_dispatch(self, tmp_path):
         trace = capture_workload(get_workload("b_scan"), seeds=(1,))
         plain = tmp_path / "trace.ctr"

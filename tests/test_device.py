@@ -200,6 +200,43 @@ class TestCostModel:
         assert costs.cost_of(Fence(Scope.BLOCK)) == costs.fence_block
         assert costs.cost_of(Fence(Scope.DEVICE)) == costs.fence_device
         assert costs.cost_of(Compute(5)) == 5
+        # System scope collapses to device scope, and so does its price.
+        assert costs.cost_of(Atomic(AtomicOp.ADD, 0, 1, Scope.SYSTEM)) == costs.atomic_device
+        assert costs.cost_of(Fence(Scope.SYSTEM)) == costs.fence_device
+        from repro.gpu.instructions import Syncthreads, Syncwarp
+        assert costs.cost_of(Syncthreads()) == costs.syncthreads
+        assert costs.cost_of(Syncwarp()) == costs.syncwarp
+
+        # The executor's inlined charges read the same table: on a tiny
+        # launch where every thread runs every instruction, the NATIVE
+        # parallel cycles are the sum of cost_of over what executed.
+        # Distinct prices catch a swapped table entry.
+        priced = CostParams(
+            load=3, store=5, atomic_block=7, atomic_device=11, fence_block=13,
+            fence_device=17, syncthreads=19, syncwarp=23, compute_unit=29,
+        )
+        dev = Device(TEST_GPU, costs=priced)
+        data = dev.alloc("data", 8)
+        program = []
+
+        def kern(ctx, data):
+            for instr in program:
+                yield instr
+
+        for scope in Scope:
+            program.append(Atomic(AtomicOp.ADD, data.addr_of(0), 1, scope))
+            program.append(Fence(scope))
+        program += [
+            Load(data.addr_of(1)), Store(data.addr_of(2), 1), Compute(3),
+            Syncthreads(), Syncwarp(),
+        ]
+        threads = 6
+        run = dev.launch(kern, 1, threads, args=(data,), seed=3)
+        assert not run.timed_out
+        assert run.instructions == threads * len(program)
+        native = run.timing.accounts[Category.NATIVE]
+        assert native.parallel == threads * sum(priced.cost_of(i) for i in program)
+        assert native.serial == 0
 
     def test_wall_clock_parallel_division(self):
         wc = WallClock(parallelism=4)
