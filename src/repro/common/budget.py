@@ -1,9 +1,8 @@
 """Resource budgets for adversarial inputs (``IGUARD_MEM_BUDGET`` et al).
 
 A fuzzed or hostile input must never be able to OOM the process: every
-unbounded structure the event stream can grow — metadata tables, the
-columnar string pool, shard queues — is capped by an operator-set byte
-budget, degrading exactly like ``IGuardConfig.metadata_max_entries``
+unbounded structure the event stream can grow — the metadata table, the
+columnar string pool — is capped by an operator-set byte budget, degrading exactly like ``IGuardConfig.metadata_max_entries``
 does (bounded recall loss, never a false positive, never an abort).
 
 Environment knobs (all read per call so tests can monkeypatch):
@@ -13,11 +12,6 @@ Environment knobs (all read per call so tests can monkeypatch):
     writer's string-pool memo.  Accepts a plain byte count or a
     ``k``/``m``/``g`` suffix (``64m``).  Unset or ``0`` = unbounded
     (the historical behavior).
-``IGUARD_QUEUE_CAP``
-    Maximum events the batched sharded drivers may hold queued before
-    forcing an early drain (backpressure: the producer does the work).
-    Early drains are output-identical — runs are order-equivalent
-    between sync mutations and deferred records re-sort at launch end.
 ``IGUARD_QUARANTINE``
     Maximum poison events absorbed per process before quarantine gives
     up and lets the exception abort the run (see
@@ -26,18 +20,12 @@ Environment knobs (all read per call so tests can monkeypatch):
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Optional
 
 MEM_BUDGET_VAR = "IGUARD_MEM_BUDGET"
-QUEUE_CAP_VAR = "IGUARD_QUEUE_CAP"
 QUARANTINE_VAR = "IGUARD_QUARANTINE"
-
-#: Default cap on queued events in the batched sharded drivers.  Far
-#: above what any pinned workload queues between sync points, so the
-#: default changes nothing observable — it only bounds adversarial
-#: single-launch streams with no sync mutations at all.
-DEFAULT_QUEUE_CAP = 1 << 16
 
 #: Poison events absorbed before quarantine re-raises (fail loud once a
 #: stream is *systematically* poisoned rather than carrying one bad
@@ -57,13 +45,20 @@ _SUFFIXES = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
 
 
 def parse_bytes(spec: str) -> int:
-    """Parse ``"1048576"`` / ``"64m"`` / ``"2g"`` into a byte count."""
+    """Parse ``"1048576"`` / ``"64m"`` / ``"1.5g"`` into a byte count.
+
+    The suffix scales before truncation (``"1.5m"`` is 1,572,864 bytes);
+    ``inf`` and ``nan`` are rejected like any other non-number.
+    """
     text = spec.strip().lower()
     scale = 1
     if text and text[-1] in _SUFFIXES:
         scale = _SUFFIXES[text[-1]]
         text = text[:-1]
-    value = int(float(text)) * scale
+    number = float(text) * scale
+    if not math.isfinite(number):
+        raise ValueError(f"byte budget must be finite: {spec!r}")
+    value = int(number)
     if value < 0:
         raise ValueError(f"byte budget cannot be negative: {spec!r}")
     return value
@@ -79,18 +74,6 @@ def mem_budget() -> Optional[int]:
     except ValueError:
         return None
     return value or None
-
-
-def queue_cap() -> int:
-    """Pending-event cap for the batched sharded drivers."""
-    spec = os.environ.get(QUEUE_CAP_VAR, "").strip()
-    if not spec:
-        return DEFAULT_QUEUE_CAP
-    try:
-        value = int(spec)
-    except ValueError:
-        return DEFAULT_QUEUE_CAP
-    return value if value > 0 else DEFAULT_QUEUE_CAP
 
 
 def quarantine_limit() -> int:

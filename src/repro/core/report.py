@@ -57,10 +57,10 @@ class RaceRecord:
     block_id: int
     prev_warp_id: int
     prev_lane: int
-    #: Provenance tags for shard merging: the 0-based kernel-launch index,
-    #: the scheduler batch that produced the access, and the metadata
-    #: granule it was keyed by.  -1 on records from paths that predate the
-    #: sharded engine (the tags never affect site dedup or reporting).
+    #: Provenance tags: the 0-based kernel-launch index, the scheduler
+    #: batch that produced the access, and the metadata granule it was
+    #: keyed by.  -1 when unknown (the tags never affect site dedup or
+    #: reporting).
     launch_index: int = -1
     batch: int = -1
     granule: int = -1
@@ -76,8 +76,8 @@ class RaceRecord:
         thread's insertion position, so every component is an explicit
         field: ``sorted(..., key=serial_sort_key)`` on a shuffled record
         list reproduces the serial order exactly, with the *stable* sort
-        preserving shard-local emission order for records from one event
-        (e.g. accessor-history checks reporting the same site repeatedly).
+        preserving emission order for records from one event (e.g.
+        accessor-history checks reporting the same site repeatedly).
         """
         return (
             self.launch_index,
@@ -212,14 +212,18 @@ class RaceLog:
 def merge_race_records(
     record_lists, capacity: int, max_records: Optional[int] = None
 ) -> RaceLog:
-    """Deterministically merge shard-local race records into one log.
+    """Deterministically merge lists of race records into one log.
 
     Re-sorts the concatenated records by :meth:`RaceRecord.serial_sort_key`
     — the exact order serial detection would have emitted them — then
     replays them through a fresh :class:`RaceLog`.  Replaying (rather than
     unioning site sets) matters because the log's per-site race type is
     first-record-wins: only the serial-order first occurrence may define a
-    site's type, whichever shard happened to emit it.
+    site's type, whichever list happened to carry it.
+
+    No detector merges record lists since every detector runs one core;
+    the function stays because ``perfbench/basket.py`` wraps it as a
+    ``core.report`` entry point.
     """
     merged = RaceLog(capacity=capacity, max_records=max_records)
     records: List[RaceRecord] = []

@@ -5,8 +5,8 @@ The JSONL codec (:mod:`repro.engine.trace`) spends its replay budget in
 event.  This module stores the same typed stream as *columns*: one numpy
 array per event field, grouped by event type, so loading a chunk costs
 O(fields) numpy reads instead of O(events) JSON parses, and batch
-consumers (the sharded replay driver, the shard router) can compute over
-whole columns vectorized before any per-event Python object exists.
+consumers can compute over whole columns vectorized before any
+per-event Python object exists.
 
 File layout (``.ctr``; ``.ctr.gz`` is the same stream gzipped)::
 
@@ -93,13 +93,6 @@ _OP_CODE_BY_ID = {id(op): code for code, op in enumerate(_OP_BY_CODE)}
 _SCOPE_BY_CODE = tuple(Scope(v) for v in sorted(int(s) for s in Scope))
 
 _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
-
-#: The multiplicative-mix router constants, mirrored from
-#: :mod:`repro.core.sharding` (numpy-typed here so column-wide routing
-#: wraps identically to the scalar hash).
-_MIX64 = np.uint64(0x9E3779B97F4A7C15)
-_SHIFT17 = np.uint64(17)
-
 
 def is_columnar_path(path) -> bool:
     """Whether ``path`` names the columnar container by extension."""
@@ -489,10 +482,9 @@ def save_columnar(events, path, chunk_rows: int = CHUNK_ROWS) -> None:
 class Chunk:
     """One decoded chunk: raw column arrays plus lazy row materialization.
 
-    Batch consumers read the raw columns (``mem_routes`` hashes the whole
-    address column vectorized); :meth:`events` materializes the slotted
-    event objects row by row, memoizing :class:`ThreadLocation` and
-    active-mask objects across the whole read session so repeated
+    Batch consumers read the raw columns; :meth:`events` materializes the
+    slotted event objects row by row, memoizing :class:`ThreadLocation`
+    and active-mask objects across the whole read session so repeated
     identities share one object, like the live pipeline's pooling.
     """
 
@@ -509,27 +501,6 @@ class Chunk:
         self.groups = groups
         self._pool = pool
         self._memos = memos
-
-    def mem_routes(
-        self, granularity_bytes: int, shards: int
-    ) -> Tuple[List[int], List[int]]:
-        """Vectorized granule + shard of every memory row, in row order.
-
-        Reproduces :func:`repro.core.sharding.shard_of` over the address
-        column: granule = address >> log2(granularity), then the 64-bit
-        multiplicative mix (numpy uint64 arithmetic wraps exactly like
-        the scalar ``& _MASK``).
-        """
-        group = self.groups.get("m")
-        if group is None:
-            return [], []
-        addresses = group[1]
-        shift = np.uint64(granularity_bytes.bit_length() - 1)
-        granules = addresses >> shift
-        if shards <= 1:
-            return granules.tolist(), [0] * len(granules)
-        routed = ((granules * _MIX64) >> _SHIFT17) % np.uint64(shards)
-        return granules.tolist(), routed.tolist()
 
     def events(self) -> list:
         """Materialize the chunk's rows as typed event objects."""

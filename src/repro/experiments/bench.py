@@ -14,18 +14,17 @@ under the ``detection`` key:
   (checked + coalesced) divided by the wall-clock time of the run;
 - **p50/p95 per-event cost** — microseconds per event across cells.
 
-The harness also measures shard scaling of the batched replay driver and
-trace-container throughput: decode and end-to-end replay events/sec of
-the JSONL codec vs the columnar ``.ctr`` container
-(``repro.engine.coltrace``), with race-site equality enforced across
-shard counts and formats.
+The harness also measures trace-container throughput: decode and
+end-to-end replay events/sec of the JSONL codec vs the columnar ``.ctr``
+container (``repro.engine.coltrace``), with race-site equality enforced
+across formats.
 
 CI runs ``--smoke --check <baseline.json>``: a small basket, JSON
 uploaded as an artifact.  ``--check`` also reads results written by
 older harness versions (per-mode ``modes`` summaries), because CI
 measures its baseline on the base revision.  Exit codes: 2 — events/sec
-regressed more than 30% against the baseline; 3 — sharded or columnar
-replay changed detection output.
+regressed more than 30% against the baseline; 3 — columnar replay
+changed detection output.
 """
 
 from __future__ import annotations
@@ -169,132 +168,11 @@ def run_basket(
 
 
 # ---------------------------------------------------------------------------
-# Shard scaling: events/sec of the in-process sharded replay driver.
-# ---------------------------------------------------------------------------
-
-#: Shard counts the scaling measurement sweeps.
-SHARD_COUNTS = (1, 2, 4, 8)
-
-
-def measure_shard_scaling(
-    workloads,
-    shard_counts: Sequence[int] = SHARD_COUNTS,
-    repeats: int = 1,
-    seeds_limit: int = 1,
-) -> dict:
-    """Measure replay throughput at each shard count over captured traces.
-
-    ``shards=1`` replays through the standard event-bus pipeline (what a
-    serial run costs today); ``shards>1`` uses
-    :func:`repro.core.sharding.replay_trace_sharded`, the in-process
-    sharded driver whose per-shard queues drain through the tight
-    ``check_run`` loop.  Race sites are compared across all counts — the
-    sharded driver's contract is identical detection output — and the
-    speedup of each count over the 1-shard pipeline is reported.
-    """
-    from repro.core.sharding import replay_trace_sharded
-    from repro.engine.replay import capture_workload, replay
-
-    totals = {
-        n: {"events": 0, "seconds": 0.0, "routed": None, "queue_depth": 0}
-        for n in shard_counts
-    }
-    sites_by_count: Dict[int, Dict[str, str]] = {n: {} for n in shard_counts}
-    for workload in workloads:
-        trace = capture_workload(workload)
-        streams = [(seed, list(events)) for seed, events in trace.runs()]
-        if seeds_limit:
-            streams = streams[:seeds_limit]
-        for _seed, events in streams:
-            for count in shard_counts:
-                best: Optional[float] = None
-                cell_events = 0
-                tool = None
-                for _ in range(max(1, repeats)):
-                    if count == 1:
-                        tool = IGuard()
-                        started = time.perf_counter()
-                        replay(events, tools=[tool])
-                        elapsed = time.perf_counter() - started
-                        cell_events = sum(
-                            s.accesses_checked + s.accesses_coalesced
-                            for s in tool.stats
-                        )
-                    else:
-                        sharded = replay_trace_sharded(events, shards=count)
-                        tool = sharded.tool
-                        elapsed = sharded.seconds
-                        cell_events = sharded.events
-                    best = elapsed if best is None else min(best, elapsed)
-                bucket = totals[count]
-                bucket["events"] += cell_events
-                bucket["seconds"] += best or 0.0
-                if count > 1:
-                    # Routing forensics: how evenly the granule hash
-                    # spread checked events over shards, and how deep a
-                    # single shard's queue ever got before a drain.
-                    routed = getattr(tool, "shard_routed_total", None)
-                    if routed is not None:
-                        if bucket["routed"] is None:
-                            bucket["routed"] = [0] * count
-                        for shard, routed_count in enumerate(routed):
-                            bucket["routed"][shard] += routed_count
-                    bucket["queue_depth"] = max(
-                        bucket["queue_depth"],
-                        getattr(tool, "queue_depth_max", 0),
-                    )
-                for ip, race_type in tool.races.sites():
-                    sites_by_count[count].setdefault(ip, str(race_type))
-
-    reference = sites_by_count[shard_counts[0]]
-    identical = all(sites_by_count[n] == reference for n in shard_counts)
-    per_count = {}
-    for count in shard_counts:
-        bucket = totals[count]
-        entry = {
-            "events": bucket["events"],
-            "seconds": round(bucket["seconds"], 4),
-            "events_per_sec": round(
-                bucket["events"] / bucket["seconds"]
-                if bucket["seconds"]
-                else 0.0,
-                1,
-            ),
-        }
-        if bucket["routed"] is not None:
-            routed = bucket["routed"]
-            mean = sum(routed) / len(routed) if routed else 0.0
-            entry["routed_per_shard"] = routed
-            entry["imbalance"] = (
-                round(max(routed) / mean, 3) if mean else None
-            )
-            entry["max_queue_depth"] = bucket["queue_depth"]
-        per_count[str(count)] = entry
-    base_eps = per_count[str(shard_counts[0])]["events_per_sec"]
-    speedup = {
-        str(count): (
-            round(per_count[str(count)]["events_per_sec"] / base_eps, 2)
-            if base_eps
-            else None
-        )
-        for count in shard_counts
-    }
-    return {
-        "shard_counts": list(shard_counts),
-        "per_count": per_count,
-        "speedup_vs_serial": speedup,
-        "identical_sites": identical,
-    }
-
-
-# ---------------------------------------------------------------------------
 # Trace throughput: JSONL vs the columnar container, decode and end-to-end.
 # ---------------------------------------------------------------------------
 
 
-def measure_trace_throughput(
-    workloads, shards: int = 4, repeats: int = 1
-) -> dict:
+def measure_trace_throughput(workloads, repeats: int = 1) -> dict:
     """Measure trace decode and replay throughput in both container formats.
 
     Captures a one-seed trace per workload and saves it as both JSONL and
@@ -302,32 +180,22 @@ def measure_trace_throughput(
 
     - **decode** — stream the file back into event objects and discard
       them (``repro.engine.trace.stream_events``), isolating the codec;
-    - **replay** — file to race report.  ``jsonl_bus`` is the pre-existing
-      pipeline (``Trace.load`` + serial event-bus replay), ``jsonl_batched``
-      loads eagerly and feeds the batched sharded drain, and ``columnar``
-      streams chunks straight into the drain with vectorized shard routing
-      (:func:`repro.core.sharding.replay_columnar_sharded`), never holding
-      the whole trace in memory.
+    - **replay** — file to race report: ``Trace.load`` plus the serial
+      event-bus replay, once per format (``jsonl_bus``, ``columnar_bus``).
 
-    Race sites must be identical across all three replay paths; the
-    headline ``replay_speedup`` is columnar over ``jsonl_bus``.
+    Race sites must be identical across both formats; the headline
+    ``replay_speedup`` is columnar over JSONL.
     """
     import os
     import tempfile
 
-    from repro.core.sharding import (
-        replay_columnar_sharded,
-        replay_trace_sharded,
-    )
     from repro.engine.replay import capture_workload, replay
     from repro.engine.trace import Trace, stream_events
 
-    decode = {
-        fmt: {"events": 0, "seconds": 0.0} for fmt in ("jsonl", "columnar")
-    }
-    replay_paths = ("jsonl_bus", "jsonl_batched", "columnar")
-    replays = {p: {"events": 0, "seconds": 0.0} for p in replay_paths}
-    sites_by_path: Dict[str, Dict[str, str]] = {p: {} for p in replay_paths}
+    formats = ("jsonl", "columnar")
+    decode = {fmt: {"events": 0, "seconds": 0.0} for fmt in formats}
+    replays = {fmt: {"events": 0, "seconds": 0.0} for fmt in formats}
+    sites_by_format: Dict[str, Dict[str, str]] = {fmt: {} for fmt in formats}
     with tempfile.TemporaryDirectory() as tmp:
         for workload in workloads:
             trace = capture_workload(workload, seeds=workload.seeds[:1])
@@ -349,43 +217,22 @@ def measure_trace_throughput(
                 decode[fmt]["events"] += count
                 decode[fmt]["seconds"] += best or 0.0
 
-            for name in replay_paths:
                 best = None
-                cell_events = 0
                 tool = None
                 for _ in range(max(1, repeats)):
-                    if name == "jsonl_bus":
-                        started = time.perf_counter()
-                        loaded = Trace.load(paths["jsonl"])
-                        tool = IGuard()
-                        replay(loaded.events, tools=[tool])
-                        elapsed = time.perf_counter() - started
-                        cell_events = sum(
-                            s.accesses_checked + s.accesses_coalesced
-                            for s in tool.stats
-                        )
-                    elif name == "jsonl_batched":
-                        started = time.perf_counter()
-                        loaded = Trace.load(paths["jsonl"])
-                        sharded = replay_trace_sharded(
-                            loaded.events, shards=shards
-                        )
-                        elapsed = time.perf_counter() - started
-                        tool = sharded.tool
-                        cell_events = sharded.events
-                    else:
-                        started = time.perf_counter()
-                        sharded = replay_columnar_sharded(
-                            paths["columnar"], shards=shards
-                        )
-                        elapsed = time.perf_counter() - started
-                        tool = sharded.tool
-                        cell_events = sharded.events
+                    started = time.perf_counter()
+                    loaded = Trace.load(path)
+                    tool = IGuard()
+                    replay(loaded.events, tools=[tool])
+                    elapsed = time.perf_counter() - started
                     best = elapsed if best is None else min(best, elapsed)
-                replays[name]["events"] += cell_events
-                replays[name]["seconds"] += best or 0.0
+                replays[fmt]["events"] += sum(
+                    s.accesses_checked + s.accesses_coalesced
+                    for s in tool.stats
+                )
+                replays[fmt]["seconds"] += best or 0.0
                 for ip, race_type in tool.races.sites():
-                    sites_by_path[name].setdefault(ip, str(race_type))
+                    sites_by_format[fmt].setdefault(ip, str(race_type))
 
     def _rates(bucket):
         return {
@@ -400,12 +247,12 @@ def measure_trace_throughput(
         }
 
     decode_out = {fmt: _rates(bucket) for fmt, bucket in decode.items()}
-    replay_out = {name: _rates(bucket) for name, bucket in replays.items()}
+    replay_out = {
+        f"{fmt}_bus": _rates(bucket) for fmt, bucket in replays.items()
+    }
     jsonl_decode = decode_out["jsonl"]["events_per_sec"]
     bus_eps = replay_out["jsonl_bus"]["events_per_sec"]
-    reference = sites_by_path["jsonl_bus"]
     return {
-        "shards": shards,
         "decode": decode_out,
         "decode_speedup": (
             round(decode_out["columnar"]["events_per_sec"] / jsonl_decode, 2)
@@ -414,13 +261,12 @@ def measure_trace_throughput(
         ),
         "replay": replay_out,
         "replay_speedup": (
-            round(replay_out["columnar"]["events_per_sec"] / bus_eps, 2)
+            round(replay_out["columnar_bus"]["events_per_sec"] / bus_eps, 2)
             if bus_eps
             else None
         ),
-        "identical_sites": all(
-            sites_by_path[name] == reference for name in replay_paths
-        ),
+        "identical_sites": sites_by_format["jsonl"]
+        == sites_by_format["columnar"],
     }
 
 
@@ -541,11 +387,6 @@ def main(argv=None) -> int:
              "'pre_pr_baseline' and report the speedup against it",
     )
     parser.add_argument(
-        "--no-shard-scaling", action="store_true",
-        help="skip the sharded-replay throughput sweep "
-             f"(shards in {{{', '.join(map(str, SHARD_COUNTS))}}})",
-    )
-    parser.add_argument(
         "--no-trace-throughput", action="store_true",
         help="skip the JSONL-vs-columnar trace decode/replay measurement",
     )
@@ -567,15 +408,9 @@ def main(argv=None) -> int:
     begin_observability(args)
     logger = get_logger("bench")
 
-    from repro.core.sharding import default_shards
     from repro.obs.log import log_run_config
 
-    log_run_config(
-        backend="iguard",
-        shards=default_shards(),
-        workers=1,
-        logger=logger,
-    )
+    log_run_config(backend="iguard", workers=1, logger=logger)
 
     workloads = basket(smoke=args.smoke)
     result = {
@@ -626,21 +461,6 @@ def main(argv=None) -> int:
             f"{overhead['sampler_events_per_sec']:.0f} events/sec)"
         )
 
-    if not args.no_shard_scaling:
-        with obs_profiler.phase("bench:shard_scaling"):
-            result["shard_scaling"] = measure_shard_scaling(
-                workloads, repeats=args.repeats
-            )
-        scaling = result["shard_scaling"]
-        line = ", ".join(
-            f"{count}: {scaling['per_count'][str(count)]['events_per_sec']:.0f}"
-            f" ({scaling['speedup_vs_serial'][str(count)]}x)"
-            for count in scaling["shard_counts"]
-        )
-        sites = "identical" if scaling["identical_sites"] else "MISMATCH"
-        output(f"shard scaling events/sec {{shards: eps (speedup)}}: {line}")
-        output(f"shard scaling race sites across counts: {sites}")
-
     if not args.no_trace_throughput:
         with obs_profiler.phase("bench:trace_throughput"):
             result["trace_throughput"] = measure_trace_throughput(
@@ -655,11 +475,10 @@ def main(argv=None) -> int:
         )
         output(
             "trace replay events/sec: "
-            f"jsonl-bus {throughput['replay']['jsonl_bus']['events_per_sec']:.0f}, "
-            "jsonl-batched "
-            f"{throughput['replay']['jsonl_batched']['events_per_sec']:.0f}, "
-            f"columnar {throughput['replay']['columnar']['events_per_sec']:.0f} "
-            f"({throughput['replay_speedup']}x vs bus)"
+            f"jsonl {throughput['replay']['jsonl_bus']['events_per_sec']:.0f}, "
+            "columnar "
+            f"{throughput['replay']['columnar_bus']['events_per_sec']:.0f} "
+            f"({throughput['replay_speedup']}x)"
         )
         sites = "identical" if throughput["identical_sites"] else "MISMATCH"
         output(f"trace replay race sites across formats: {sites}")
@@ -698,11 +517,6 @@ def main(argv=None) -> int:
                 f"regression check passed: {new_eps:.0f} >= {floor:.0f} "
                 f"events/sec floor"
             )
-    if not result.get("shard_scaling", {}).get("identical_sites", True):
-        logger.error(
-            "SHARDING FAILURE: sharded replay changed detection output"
-        )
-        exit_code = 3
     if not result.get("trace_throughput", {}).get("identical_sites", True):
         logger.error(
             "FORMAT FAILURE: columnar replay changed detection output"

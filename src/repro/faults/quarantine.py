@@ -13,14 +13,10 @@ invent one.
 
 Wrap points (all per-event):
 
-- :func:`repro.engine.replay.replay` — the serial bus-publish loop;
-- :class:`repro.core.sharding._ShardedDrain` — the batched/columnar
-  inlined front-end loop;
-- :meth:`repro.core.engine.DetectorCore.handle` and the ``check_run``
-  drain loops — the routed check itself, shared by every mode, so a
-  poison event that survives the front-end quarantines *identically*
-  in serial, sharded, and columnar replays (byte-identical reports on
-  all non-quarantined records).
+- :func:`repro.engine.replay.replay` — the bus-publish loop;
+- :meth:`repro.core.engine.DetectorCore.handle` — the check itself, so
+  a poison event that survives the front end quarantines identically in
+  live runs and in replays of either trace format.
 
 Deliberate non-absorptions: every :class:`~repro.errors.ReproError`
 (Unsupported/OOM/Timeout/Deadlock are policy signals, corruption and
@@ -119,11 +115,9 @@ def events_absorbed() -> int:
 def snapshot() -> dict:
     """Deterministic, mode-agnostic summary for report blocks.
 
-    Deliberately excludes the wrap-point stage: the same poison event
-    surfaces at the replay loop in serial mode and at the drain loop in
-    batched mode, and the report block must stay byte-identical across
-    modes.  Stages live in the bounded :func:`examples` forensics and
-    the logs.
+    Deliberately excludes the wrap-point stage: the report block must
+    not depend on which wrap point caught an event.  Stages live in the
+    bounded :func:`examples` forensics and the logs.
     """
     return {
         "events": _STATE.events,

@@ -81,24 +81,17 @@ def get_logger(name: str = "") -> logging.Logger:
 
 def log_run_config(
     backend: str,
-    shards: int,
     workers: int,
     logger: Optional[logging.Logger] = None,
 ) -> None:
     """One-line INFO summary of a run's execution shape.
 
     Emitted once at startup by the entry points (runner, recall gate,
-    bench) so any log capture states how the run was configured —
-    which detector backend, how many detector shards partition the
-    per-launch check work, and how many worker processes fan cells out.
+    bench) so any log capture states how the run was configured — which
+    detector backend, and how many worker processes fan cells out.
     """
     log = logger if logger is not None else get_logger("config")
-    log.info(
-        "run config: backend=%s shards=%d workers=%d",
-        backend,
-        shards,
-        workers,
-    )
+    log.info("run config: backend=%s workers=%d", backend, workers)
 
 
 def output(*parts: object, sep: str = " ", end: str = "\n") -> None:

@@ -30,6 +30,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from repro.engine import checkpoint as ckpt
 from repro.engine.parallel import parallel_map
 from repro.errors import (
+    ConfigError,
     DeadlockError,
     OutOfMemoryError,
     RetryExhaustedError,
@@ -64,24 +65,32 @@ def detector_name(tool_factory: ToolFactory) -> str:
 
 
 class DetectorFactory:
-    """A picklable tool factory binding a detector class to a shard count.
+    """A picklable tool factory for a detector class.
 
     Seed cells ship their factory to worker processes, so a bare lambda
-    closing over ``shards`` would break ``workers > 1``.  This wrapper
-    stays picklable (class + int) and exposes the detector's ``name``
-    attribute so :func:`detector_name` resolves it without instantiating.
+    would break ``workers > 1``.  This wrapper stays picklable and
+    exposes the detector's ``name`` attribute so :func:`detector_name`
+    resolves it without instantiating.
+
+    ``shards`` is accepted only as ``None`` or ``1``: every detector runs
+    one core, and the argument survives for callers that still pass it.
     """
 
     def __init__(self, cls, shards: Optional[int] = None):
+        _check_single_shard(shards)
         self.cls = cls
-        self.shards = shards
         self.name = cls.name
 
     def __call__(self, shards: Optional[int] = None) -> Tool:
-        shards = shards if shards is not None else self.shards
-        if shards is None:
-            return self.cls()
-        return self.cls(shards=shards)
+        _check_single_shard(shards)
+        return self.cls()
+
+
+def _check_single_shard(shards: Optional[int]) -> None:
+    if shards not in (None, 1):
+        raise ConfigError(
+            f"shards={shards!r}: detectors run one core; pass None or 1"
+        )
 
 
 @dataclass
@@ -508,16 +517,9 @@ def main(argv=None) -> int:
         help="fan seed cells out over N worker processes",
     )
     parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="partition per-launch check work across N detector shards "
-             "(default: IGUARD_SHARDS or 1); reports are byte-identical "
-             "to serial for any N",
-    )
-    parser.add_argument(
         "--report-json", default=None, metavar="PATH",
         help="write the merged result (status, sites, timing) as "
-             "canonical JSON to PATH — sharded and serial runs produce "
-             "byte-identical files",
+             "canonical JSON to PATH",
     )
     parser.add_argument(
         "--seeds", default=None, metavar="S1,S2",
@@ -546,7 +548,6 @@ def main(argv=None) -> int:
 
     from repro.baselines import Barracuda, CURD, FastTrack, ScoRD
     from repro.core.detector import IGuard
-    from repro.core.sharding import default_shards
     from repro.obs.log import log_run_config
     from repro.workloads.registry import get_workload
 
@@ -558,9 +559,8 @@ def main(argv=None) -> int:
         "fasttrack": FastTrack,
         "native": None,
     }[args.detector]
-    shards = args.shards if args.shards is not None else default_shards()
     factory: ToolFactory = (
-        DetectorFactory(detector_cls, shards=shards)
+        DetectorFactory(detector_cls)
         if detector_cls is not None
         else None
     )
@@ -575,7 +575,6 @@ def main(argv=None) -> int:
     )
     log_run_config(
         backend=args.detector,
-        shards=shards,
         workers=args.workers,
         logger=logger,
     )

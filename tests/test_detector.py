@@ -23,7 +23,6 @@ from repro.gpu.instructions import (
     syncwarp,
 )
 
-from repro.core.sharding import replay_trace_sharded
 from repro.engine.replay import capture_workload, replay
 from repro.gpu.events import LaunchEvent, MemoryEvent
 from repro.workloads import racy_workloads
@@ -437,21 +436,16 @@ class TestSinglePathLedger:
 
     There is one path to the Table 2 checks, so per launch the checked
     and coalesced counts must add up to the memory events the stream
-    delivered, and nothing is ever elided — inline at one and four
-    shards, and through the batched sharded drain.
+    delivered, and nothing is ever elided.
     """
 
-    @pytest.mark.parametrize("driver", ["shards=1", "shards=4", "batched"])
     def test_checked_plus_coalesced_equals_delivered(
-        self, driver, racy_basket_streams
+        self, racy_basket_streams
     ):
         for name, events in racy_basket_streams:
-            if driver == "batched":
-                stats = replay_trace_sharded(events, shards=4).tool.stats
-            else:
-                tool = IGuard(shards=int(driver.split("=")[1]))
-                replay(events, tools=[tool])
-                stats = tool.stats
+            tool = IGuard()
+            replay(events, tools=[tool])
+            stats = tool.stats
             delivered = _memory_events_per_launch(events)
             assert len(stats) == len(delivered), name
             for launch, (stat, count) in enumerate(zip(stats, delivered)):

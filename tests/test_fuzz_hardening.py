@@ -2,19 +2,18 @@
 
 Pins the four planks of the hardening PR:
 
-- resource budgets (``IGUARD_MEM_BUDGET`` / ``IGUARD_QUEUE_CAP`` /
-  ``IGUARD_QUARANTINE``) degrade detection by recall only — never a
-  false positive, never an abort, and never a report that differs
-  between serial and sharded modes;
-- poison-event quarantine absorbs a raising record identically in every
-  replay mode (byte-identical sites + quarantine block across serial,
-  inline-sharded, batched-drain, and routed-drain replays);
+- resource budgets (``IGUARD_MEM_BUDGET`` / ``IGUARD_QUARANTINE``)
+  degrade detection by recall only — never a false positive, never an
+  abort;
+- poison-event quarantine absorbs a raising record identically through
+  every replay entry point (byte-identical sites + quarantine block
+  from ``replay``, ``replay_workload`` and the multi-detector fan-out);
 - the ddmin minimizer and the differential fuzzer are deterministic and
   the shipped triage corpus replays clean;
 - the suite executor degrades to a partial merged report (distinct exit
   code, ``failed_cells`` block) instead of dying when a cell exhausts
   its retries, and ``--resume`` after a mid-run kill reproduces the
-  uninterrupted report byte for byte with ``--shards N`` active.
+  uninterrupted report byte for byte.
 """
 
 import base64
@@ -27,18 +26,16 @@ import pytest
 
 from repro.common.budget import (
     DEFAULT_QUARANTINE_LIMIT,
-    DEFAULT_QUEUE_CAP,
     MAX_LINE_BYTES,
     mem_budget,
     parse_bytes,
     quarantine_limit,
-    queue_cap,
 )
 from repro.common.rng import SplitMix64
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.detector import IGuard
-from repro.core.sharding import _drain_for, replay_trace_sharded, shard_of
-from repro.engine.replay import capture_workload, replay
+from repro.engine.fanout import replay_trace_fanout
+from repro.engine.replay import capture_workload, replay, replay_workload
 from repro.engine.trace import Trace
 from repro.errors import (
     RetryExhaustedError,
@@ -63,7 +60,6 @@ from repro.faults.fuzz import (
     run_campaign,
     write_corpus_entry,
 )
-from repro.gpu.arch import GPUConfig, TITAN_RTX
 from repro.gpu.events import AccessKind, MemoryEvent
 from repro.gpu.instructions import AtomicOp
 from repro.workloads.registry import get_workload
@@ -93,10 +89,14 @@ def _sites(tool):
 
 
 def _leg(run):
-    """One replay leg: (sites, quarantine snapshot) as canonical JSON."""
+    """One replay leg: (sites, quarantine snapshot) as canonical JSON.
+
+    ``run`` returns a tool, or the sites of a workload result.
+    """
     quarantine.reset()
-    tool = run()
-    doc = {"sites": _sites(tool), "quarantine": quarantine.snapshot()}
+    out = run()
+    sites = out if isinstance(out, dict) else _sites(out)
+    doc = {"sites": sites, "quarantine": quarantine.snapshot()}
     return json.dumps(doc, sort_keys=True)
 
 
@@ -112,8 +112,11 @@ class TestBudgetKnobs:
         assert parse_bytes("2M") == 2 << 20
         assert parse_bytes(" 1g ") == 1 << 30
         assert parse_bytes("0") == 0
-        with pytest.raises(ValueError):
-            parse_bytes("-1")
+        # The suffix scales before the fraction is truncated.
+        assert parse_bytes("1.5m") == 1_572_864
+        for bad in ("-1", "inf", "nan", "-inf", "2infk"):
+            with pytest.raises(ValueError):
+                parse_bytes(bad)
 
     def test_mem_budget_env(self, monkeypatch):
         monkeypatch.delenv("IGUARD_MEM_BUDGET", raising=False)
@@ -125,14 +128,9 @@ class TestBudgetKnobs:
         assert mem_budget() is None
         monkeypatch.setenv("IGUARD_MEM_BUDGET", "banana")
         assert mem_budget() is None
-
-    def test_queue_cap_env(self, monkeypatch):
-        monkeypatch.delenv("IGUARD_QUEUE_CAP", raising=False)
-        assert queue_cap() == DEFAULT_QUEUE_CAP
-        monkeypatch.setenv("IGUARD_QUEUE_CAP", "128")
-        assert queue_cap() == 128
-        monkeypatch.setenv("IGUARD_QUEUE_CAP", "-3")
-        assert queue_cap() == DEFAULT_QUEUE_CAP
+        monkeypatch.setenv("IGUARD_MEM_BUDGET", "inf")
+        assert mem_budget() is None
+        IGuard()  # a non-finite budget never breaks construction
 
     def test_quarantine_limit_env(self, monkeypatch):
         monkeypatch.delenv("IGUARD_QUARANTINE", raising=False)
@@ -158,12 +156,12 @@ class TestQuarantine:
         assert quarantine.examples()[0]["stage"] == "replay"
 
     def test_snapshot_is_stage_free(self):
-        # The same poison event surfaces at "replay" in serial mode and
-        # at "drain" in batched mode; the report block must not differ.
+        # A poison event may surface at "replay" (the front end) or at
+        # "core" (the check); the report block must not differ.
         quarantine.poison(object(), TypeError("t"), "replay")
         first = quarantine.snapshot()
         quarantine.reset()
-        quarantine.poison(object(), TypeError("t"), "drain")
+        quarantine.poison(object(), TypeError("t"), "core")
         assert quarantine.snapshot() == first
 
     def test_clean_report_block_is_none(self):
@@ -223,44 +221,25 @@ class TestPoisonByteIdentity:
     def test_all_modes_agree(self, captured_events):
         events = _poisoned(captured_events)
 
-        def serial():
-            tool = IGuard(shards=1)
+        def direct():
+            tool = IGuard()
             replay(events, tools=[tool])
             return tool
 
-        def inline():
-            tool = IGuard(shards=3)
-            replay(events, tools=[tool])
-            return tool
+        def workload():
+            result = replay_workload(Trace(events), IGuard)
+            return dict(result.race_sites)
 
-        def batched():
-            return replay_trace_sharded(events, shards=3).tool
-
-        def routed():
-            # The columnar drain path: routes precomputed before the
-            # drain loop, exactly like Chunk.mem_routes feeds them.
-            gpu = next(
-                (e for e in events if isinstance(e, GPUConfig)), TITAN_RTX
-            )
-            drain = _drain_for(DEFAULT_CONFIG, 3, None, gpu)
-            granule_of = drain.tool.cores[0].table.granule_of
-            routes = iter(
-                [
-                    (granule_of(e.address), shard_of(granule_of(e.address), 3))
-                    for e in events
-                    if isinstance(e, MemoryEvent)
-                ]
-            )
-            drain.feed(events, routes=routes)
-            return drain.result().tool
+        def fanout():
+            (result,) = replay_trace_fanout(Trace(events), [IGuard])
+            return dict(result.race_sites)
 
         legs = {
-            "serial": _leg(serial),
-            "inline": _leg(inline),
-            "batched": _leg(batched),
-            "routed": _leg(routed),
+            "direct": _leg(direct),
+            "workload": _leg(workload),
+            "fanout": _leg(fanout),
         }
-        reference = legs["serial"]
+        reference = legs["direct"]
         assert json.loads(reference)["quarantine"]["events"] == 1
         for name, doc in legs.items():
             assert doc == reference, name
@@ -277,7 +256,7 @@ class TestPoisonByteIdentity:
 
     @staticmethod
     def _replay(events):
-        tool = IGuard(shards=1)
+        tool = IGuard()
         replay(events, tools=[tool])
         return tool
 
@@ -287,11 +266,11 @@ class TestPoisonByteIdentity:
         monkeypatch.setenv("IGUARD_QUARANTINE", "0")
         events = _poisoned(captured_events)
         with pytest.raises(TypeError):
-            replay(events, tools=[IGuard(shards=1)])
+            replay(events, tools=[IGuard()])
         with pytest.raises(TypeError):
-            replay(events, tools=[IGuard(shards=3)])
+            replay_workload(Trace(events), IGuard)
         with pytest.raises(TypeError):
-            replay_trace_sharded(events, shards=3)
+            replay_trace_fanout(Trace(events), [IGuard])
 
 
 # ---------------------------------------------------------------------------
@@ -303,23 +282,18 @@ class TestMemBudget:
     def test_caps_metadata_tables(self, monkeypatch):
         monkeypatch.setenv("IGUARD_MEM_BUDGET", "1k")
         entry = DEFAULT_CONFIG.metadata_entry_bytes
-        tool = IGuard(shards=1)
-        assert tool.cores[0].table.max_entries == 1024 // entry
-        sharded = IGuard(shards=4)
-        for core in sharded.cores:
-            assert core.table.max_entries == 1024 // entry // 4
+        assert IGuard().table.max_entries == 1024 // entry
 
     def test_explicit_cap_wins_over_budget(self, monkeypatch):
         monkeypatch.setenv("IGUARD_MEM_BUDGET", "1k")
         config = replace(DEFAULT_CONFIG, metadata_max_entries=5)
-        tool = IGuard(config=config, shards=1)
-        assert tool.cores[0].table.max_entries == 5
+        assert IGuard(config=config).table.max_entries == 5
 
     def test_budgeted_run_loses_only_recall(
         self, captured_events, monkeypatch
     ):
         def run():
-            tool = IGuard(shards=1)
+            tool = IGuard()
             replay(captured_events, tools=[tool])
             return _sites(tool)
 
@@ -399,37 +373,6 @@ class TestDecoderLimits:
             Trace.load(str(path))
         salvaged = Trace.load(str(path), salvage=True)
         assert salvaged.corruption is not None
-
-
-# ---------------------------------------------------------------------------
-# Queue cap backpressure
-# ---------------------------------------------------------------------------
-
-
-class TestQueueBackpressure:
-    def test_tiny_cap_is_output_identical(self, captured_events, monkeypatch):
-        monkeypatch.delenv("IGUARD_QUEUE_CAP", raising=False)
-        reference = _leg(
-            lambda: replay_trace_sharded(captured_events, shards=3).tool
-        )
-        monkeypatch.setenv("IGUARD_QUEUE_CAP", "7")
-        capped = _leg(
-            lambda: replay_trace_sharded(captured_events, shards=3).tool
-        )
-        assert capped == reference
-
-    def test_batched_driver_cap_identical(self, captured_events, monkeypatch):
-        from repro.core.sharding import BatchShardedIGuard
-
-        def run():
-            tool = BatchShardedIGuard(shards=3)
-            replay(captured_events, tools=[tool])
-            return tool
-
-        monkeypatch.delenv("IGUARD_QUEUE_CAP", raising=False)
-        reference = _leg(run)
-        monkeypatch.setenv("IGUARD_QUEUE_CAP", "5")
-        assert _leg(run) == reference
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +533,7 @@ class TestPartialReport:
         monkeypatch.setattr(runner_module, "parallel_map", exploding_map)
         result = runner_module.run_workload(
             get_workload("1dconv"),
-            runner_module.DetectorFactory(IGuard, shards=1),
+            runner_module.DetectorFactory(IGuard),
             seeds=(1, 2),
             workers=2,
         )
@@ -626,11 +569,11 @@ class TestPartialReport:
 
 
 # ---------------------------------------------------------------------------
-# Resume after a mid-run kill with sharding active (satellite)
+# Resume after a mid-run kill
 # ---------------------------------------------------------------------------
 
 
-class TestShardedResumeAfterKill:
+class TestResumeAfterKill:
     def test_resume_reproduces_uninterrupted_report(self, tmp_path):
         from repro.workloads import runner as runner_module
 
@@ -638,7 +581,6 @@ class TestShardedResumeAfterKill:
         rc = runner_module.main(
             [
                 "--workload", "1dconv",
-                "--shards", "2",
                 "--workers", "2",
                 "--report-json", str(base),
             ]
@@ -650,7 +592,6 @@ class TestShardedResumeAfterKill:
         rc = runner_module.main(
             [
                 "--workload", "1dconv",
-                "--shards", "2",
                 "--workers", "2",
                 "--checkpoint", str(journal),
                 "--report-json", str(full),
@@ -668,7 +609,6 @@ class TestShardedResumeAfterKill:
         rc = runner_module.main(
             [
                 "--workload", "1dconv",
-                "--shards", "2",
                 "--workers", "2",
                 "--checkpoint", str(journal),
                 "--resume",

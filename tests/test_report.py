@@ -1,6 +1,14 @@
 """Tests for race records, the report buffer, and site deduplication."""
 
-from repro.core.report import RaceBuffer, RaceLog, RaceRecord, RaceType
+import random
+
+from repro.core.report import (
+    RaceBuffer,
+    RaceLog,
+    RaceRecord,
+    RaceType,
+    merge_race_records,
+)
 
 
 def record(ip="kern:10", race_type=RaceType.INTER_BLOCK, address=0x1000):
@@ -150,3 +158,65 @@ class TestDroppedRecords:
             RaceType.INTER_BLOCK, RaceType.IMPROPER_LOCKING,
         }
         assert log.dropped == 1
+
+
+def _tagged(ip, race_type, launch_index, batch, warp_id, lane, granule):
+    return RaceRecord(
+        race_type=race_type,
+        kernel="kern",
+        ip=ip,
+        access="store",
+        address=granule * 8,
+        location=f"data[{granule}]",
+        warp_id=warp_id,
+        lane=lane,
+        block_id=0,
+        prev_warp_id=0,
+        prev_lane=0,
+        launch_index=launch_index,
+        batch=batch,
+        granule=granule,
+    )
+
+
+class TestDeterministicMerge:
+    def _canonical_records(self):
+        # Serial emission order: launches, then batches, then lanes of the
+        # batch's warp, then granule/ip within one lane's coalesced run.
+        return [
+            _tagged("k:1", RaceType.ITS, 0, 3, 0, 0, 10),
+            _tagged("k:2", RaceType.ATOMIC_SCOPE, 0, 3, 0, 1, 11),
+            _tagged("k:1", RaceType.INTRA_BLOCK, 0, 5, 1, 0, 10),
+            _tagged("k:3", RaceType.INTER_BLOCK, 1, 0, 0, 0, 12),
+            _tagged("k:3", RaceType.IMPROPER_LOCKING, 1, 0, 0, 2, 12),
+            _tagged("k:4", RaceType.INTER_BLOCK, 1, 2, 2, 0, 13),
+        ]
+
+    def test_shuffled_records_resort_to_serial_order(self):
+        canonical = self._canonical_records()
+        serial = merge_race_records([canonical], capacity=1 << 20)
+
+        rng = random.Random(42)
+        for _ in range(25):
+            shuffled = list(canonical)
+            rng.shuffle(shuffled)
+            cut = rng.randint(0, len(shuffled))
+            merged = merge_race_records(
+                [shuffled[:cut], shuffled[cut:]], capacity=1 << 20
+            )
+            assert merged.records() == serial.records()
+            assert merged.sites() == serial.sites()
+
+    def test_first_record_wins_site_type(self):
+        # Two records at one ip with different types: the serially-first
+        # one (lower batch) defines the site's type even when the lists
+        # deliver them in the opposite order.
+        late = _tagged("k:9", RaceType.INTER_BLOCK, 0, 7, 0, 0, 20)
+        early = _tagged("k:9", RaceType.ITS, 0, 2, 0, 0, 21)
+        merged = merge_race_records([[late], [early]], capacity=1 << 20)
+        assert dict(merged.sites())["k:9"] is RaceType.ITS
+
+    def test_stable_sort_preserves_same_key_multiplicity(self):
+        twin = _tagged("k:5", RaceType.INTER_BLOCK, 0, 1, 0, 0, 30)
+        merged = merge_race_records([[twin, twin]], capacity=1 << 20)
+        assert len(merged.records()) == 2

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.core import IGuard
+from repro.errors import ConfigError
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.cli import main as cli_main
 from repro.experiments.reporting import fmt_overhead, render_table, title
 from repro.workloads import get_workload, run_workload
 from repro.workloads.base import Workload
-from repro.workloads.runner import measured_overhead
+from repro.workloads.runner import DetectorFactory, measured_overhead
 
 
 class TestRunner:
@@ -49,6 +50,28 @@ class TestRunner:
     def test_has_races(self):
         assert get_workload("uts").has_races
         assert not get_workload("b_scan").has_races
+
+
+class TestDetectorFactory:
+    def test_detector_factory_is_picklable(self):
+        # Seed cells ship their factory to worker processes (workers > 1).
+        import pickle
+
+        clone = pickle.loads(pickle.dumps(DetectorFactory(IGuard)))
+        assert clone.name == "iGUARD"
+        assert isinstance(clone(), IGuard)
+
+    def test_single_shard_is_still_accepted(self):
+        factory = DetectorFactory(IGuard, shards=1)
+        assert isinstance(factory(), IGuard)
+        assert isinstance(factory(1), IGuard)
+
+    @pytest.mark.parametrize("shards", [0, 2, 4])
+    def test_other_shard_counts_are_rejected(self, shards):
+        with pytest.raises(ConfigError):
+            DetectorFactory(IGuard, shards=shards)
+        with pytest.raises(ConfigError):
+            DetectorFactory(IGuard)(shards)
 
 
 class TestReporting:
