@@ -38,7 +38,6 @@ R5    lockset: locks in use but intersection empty (IL)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import FrozenSet, Optional
 
 from repro.core.metadata import AccessorView, MetadataEntry
@@ -47,16 +46,33 @@ from repro.core.syncstate import SyncMetadata
 from repro.gpu.events import AccessKind
 
 
-@dataclass(frozen=True)
 class CurrentAccess:
-    """Everything Table 2 needs to know about the access being checked."""
+    """Everything Table 2 needs to know about the access being checked.
 
-    kind: AccessKind
-    warp_id: int
-    lane: int
-    block_id: int
-    active_mask: FrozenSet[int]
-    locks_bloom: int = 0  # sm.Locks: the current accessor's lock summary
+    A plain slotted class rather than a frozen dataclass: one is built per
+    checked access, and a frozen dataclass pays an ``object.__setattr__``
+    per field.  Nothing assigns a field after construction.
+    """
+
+    __slots__ = (
+        "kind", "warp_id", "lane", "block_id", "active_mask", "locks_bloom",
+    )
+
+    def __init__(
+        self,
+        kind: AccessKind,
+        warp_id: int,
+        lane: int,
+        block_id: int,
+        active_mask: FrozenSet[int],
+        locks_bloom: int = 0,  # sm.Locks: the current accessor's lock summary
+    ):
+        self.kind = kind
+        self.warp_id = warp_id
+        self.lane = lane
+        self.block_id = block_id
+        self.active_mask = active_mask
+        self.locks_bloom = locks_bloom
 
     @property
     def thread_key(self):

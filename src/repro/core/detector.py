@@ -94,6 +94,10 @@ class IGuard(Tool):
         self._uvm: Optional[ManagedMetadataSpace] = None
         self._current: Optional[LaunchStats] = None
         self._coalesce_key: Optional[Tuple[int, int]] = None
+        #: The launch's INSTRUMENTATION and DETECTION accounts, bound at
+        #: launch begin so the per-event charges add to them directly.
+        self._instrumentation = None
+        self._detection = None
         self._probe = None
 
     # ------------------------------------------------------------------
@@ -135,6 +139,9 @@ class IGuard(Tool):
         self._coalesce_key = None
         self._current = LaunchStats(kernel=launch.kernel_name)
         self.stats.append(self._current)
+        accounts = launch.timing.accounts
+        self._instrumentation = accounts[Category.INSTRUMENTATION]
+        self._detection = accounts[Category.DETECTION]
         # Fresh synchronization and memory metadata per kernel (see
         # IGuardCore._reset_for_launch).
         self.core.begin_launch(launch)
@@ -210,28 +217,27 @@ class IGuard(Tool):
             self._current.metadata_entries = len(self.core.table)
 
     # ------------------------------------------------------------------
-    # Synchronization operations
+    # Per-event callbacks
     # ------------------------------------------------------------------
+    # Both add their cycles straight to the launch's bound accounts, in
+    # event order: each account sees the same sequence of additions as
+    # ``TimingBreakdown.charge`` would make, so float sums are unchanged.
 
     def on_sync(self, event: SyncEvent, launch: LaunchInfo) -> None:
-        launch.timing.charge(
-            Category.INSTRUMENTATION, self.costs.instrument_per_event
-        )
-        launch.timing.charge(Category.DETECTION, self.costs.sync_per_event)
+        self._instrumentation.parallel += self.costs.instrument_per_event
+        self._detection.parallel += self.costs.sync_per_event
         self.core.apply_sync(event, launch)
 
-    # ------------------------------------------------------------------
-    # Memory operations
-    # ------------------------------------------------------------------
-
     def on_memory(self, event: MemoryEvent, launch: LaunchInfo) -> None:
-        launch.timing.charge(
-            Category.INSTRUMENTATION, self.costs.instrument_per_event
-        )
+        costs = self.costs
+        core = self.core
+        detection = self._detection
+        self._instrumentation.parallel += costs.instrument_per_event
 
         # Lock inference precedes race checking (Figure 6's orange boxes).
-        if event.kind is AccessKind.ATOMIC:
-            self.core.infer_locks(event)
+        kind = event.kind
+        if kind is AccessKind.ATOMIC:
+            core.infer_locks(event)
 
         # Opportunistic coalescing: active threads of one warp loading (or
         # atomically updating) the same location cannot race with each
@@ -241,8 +247,8 @@ class IGuard(Tool):
         # *metadata* address, so converged lanes touching different bytes
         # of one granule coalesce into a single check of that granule's
         # entry.
-        granule = self.core.table.granule_of(event.address)
-        if self.config.coalescing and event.kind in (
+        granule = core.table.granule_of(event.address)
+        if self.config.coalescing and kind in (
             AccessKind.LOAD,
             AccessKind.ATOMIC,
         ):
@@ -251,9 +257,7 @@ class IGuard(Tool):
                 self._current.accesses_coalesced += 1
                 if HOT.enabled:
                     HOT.detector_coalesced.inc()
-                launch.timing.charge(
-                    Category.DETECTION, self.costs.coalesced_skip
-                )
+                detection.parallel += costs.coalesced_skip
                 return
             self._coalesce_key = key
         else:
@@ -267,9 +271,7 @@ class IGuard(Tool):
             if fault_cost:
                 if HOT.enabled:
                     HOT.detector_uvm_faults.inc()
-                launch.timing.charge(
-                    Category.DETECTION, fault_cost, serial=True
-                )
+                detection.serial += fault_cost
         if self._contention is not None:
             stall = self._contention.on_metadata_access(
                 granule, event.batch, event.where.warp_id
@@ -278,12 +280,12 @@ class IGuard(Tool):
                 if HOT.enabled:
                     HOT.contention_stalls.inc()
                     HOT.contention_cycles.inc(stall)
-                launch.timing.charge(Category.DETECTION, stall, serial=True)
-        launch.timing.charge(Category.DETECTION, self.costs.check_per_access)
+                detection.serial += stall
+        detection.parallel += costs.check_per_access
 
         # Quarantines a poison event (one whose check raises) instead of
         # aborting the run.
-        self.core.handle(event, granule, launch, self._current)
+        core.handle(event, granule, launch, self._current)
 
     # ------------------------------------------------------------------
     # Reporting helpers

@@ -37,11 +37,17 @@ from typing import Callable, Deque, Dict, Optional
 from repro.baselines.vectorclock import AccessHistory, VectorClock
 from repro.core.checks import CurrentAccess, preliminary_checks, race_checks, select_md
 from repro.core.config import IGuardConfig
-from repro.core.metadata import AccessorView, MetadataTable
+from repro.core.metadata import (
+    ACCESSOR_WORD,
+    FLAG_MASKS,
+    AccessorView,
+    MetadataTable,
+)
 from repro.core.report import RaceLog, RaceRecord, RaceType
 from repro.core.syncstate import SyncMetadata
 from repro.faults.quarantine import poison as _poison
 from repro.gpu.events import AccessKind, MemoryEvent, SyncEvent, SyncKind
+from repro.gpu.ids import block_of_warp
 from repro.gpu.instructions import AtomicOp, Scope, scope_covers
 from repro.instrument.timing import Category
 from repro.obs.metrics import HOT
@@ -167,6 +173,23 @@ class DetectorCore:
 # ---------------------------------------------------------------------------
 # The iGUARD Table 2 engine
 # ---------------------------------------------------------------------------
+
+#: Accessor-word flag masks and the last accessor's WarpID, for the
+#: per-access sharing-flag and writeback updates (one mask operation each).
+_VALID = FLAG_MASKS["Valid"]
+_MODIFIED = FLAG_MASKS["Modified"]
+_DEV_SHARED = FLAG_MASKS["DevShared"]
+_BLK_SHARED = FLAG_MASKS["BlkShared"]
+_ACCESSOR_WARP = ACCESSOR_WORD.compile_getter("WarpID")
+#: A write rewrites the Atomic and Scope flags ...
+_WRITE_CLEARS = ~(FLAG_MASKS["Atomic"] | FLAG_MASKS["Scope"])
+#: ... to these for an atomic, indexed by its raw ``Scope``: Atomic, plus
+#: Scope when the atomic is narrower than device scope.  A store clears both.
+_ATOMIC_FLAGS = tuple(
+    FLAG_MASKS["Atomic"]
+    | (0 if scope_covers(scope, Scope.DEVICE) else FLAG_MASKS["Scope"])
+    for scope in Scope
+)
 
 
 class IGuardCore(DetectorCore):
@@ -294,11 +317,17 @@ class IGuardCore(DetectorCore):
 
         The adapter has already paid the access's overhead cycles (UVM
         residency, contention stalls, ``check_per_access``); this method
-        is pure detection state.
+        is pure detection state.  It reads the event's fields and the
+        thread's sync counters once; the Table 2 logic itself is
+        :func:`preliminary_checks` and :func:`race_checks`.
         """
         config = self.config
+        sync = self.sync
         where = event.where
         thread = where.thread_key
+        warp_id = where.warp_id
+        block_id = where.block_id
+        is_write = event.is_write
         if stats is not None:
             stats.accesses_checked += 1
         if HOT.enabled:
@@ -310,34 +339,28 @@ class IGuardCore(DetectorCore):
                 event, granule, entry.accessor_word, entry.writer_word
             )
 
-        tag = self.table.tag_of_granule(granule)
         wpb = launch.warps_per_block
-
-        locks_bloom = self.sync.lock_table_for(
-            where.warp_id, thread
-        ).locks_bloom_int()
+        lock_table = sync.lock_table_for(warp_id, thread)
+        locks_bloom = lock_table.locks_bloom_int()
         curr = CurrentAccess(
-            kind=event.kind,
-            warp_id=where.warp_id,
-            lane=where.lane,
-            block_id=where.block_id,
-            active_mask=event.active_mask,
-            locks_bloom=locks_bloom,
+            event.kind, warp_id, where.lane, block_id, event.active_mask,
+            locks_bloom,
         )
 
         # Update the sharing flags from the last accessor before checking
         # (section 6.2): they encode whether this granule has ever been
         # shared across warps or threadblocks.
-        if entry.valid:
-            last = entry.last_accessor
-            if last.block_id(wpb) != curr.block_id:
-                entry.set_flag("DevShared", True)
-            elif last.warp_id != curr.warp_id:
-                entry.set_flag("BlkShared", True)
+        word = entry.accessor_word
+        if word & _VALID:
+            last_warp = _ACCESSOR_WARP(word)
+            if block_of_warp(last_warp, wpb) != block_id:
+                entry.accessor_word = word | _DEV_SHARED
+            elif last_warp != warp_id:
+                entry.accessor_word = word | _BLK_SHARED
 
         md = select_md(entry, curr)
         passed = preliminary_checks(
-            curr, entry, md, self.sync, wpb, its_support=config.its_support
+            curr, entry, md, sync, wpb, its_support=config.its_support
         )
         race_type = None
         if passed is not None:
@@ -353,7 +376,7 @@ class IGuardCore(DetectorCore):
                 curr,
                 entry,
                 md,
-                self.sync,
+                sync,
                 wpb,
                 its_support=config.its_support,
                 lockset=config.lockset,
@@ -372,9 +395,7 @@ class IGuardCore(DetectorCore):
                 # (a missed R5 report, the aliasing cost of section 6.3).
                 truth = self._writer_lock_truth.get(granule)
                 if truth is not None and truth.isdisjoint(
-                    self.sync.lock_table_for(
-                        where.warp_id, thread
-                    ).held_hashes()
+                    lock_table.held_hashes()
                 ):
                     HOT.detector_bloom_fp.inc()
 
@@ -383,13 +404,23 @@ class IGuardCore(DetectorCore):
         if config.accessor_history > 1:
             self._check_history(curr, entry, event, granule, launch, wpb)
 
-        self._write_back(entry, tag, curr, event, thread, locks_bloom)
-        if HOT.enabled and event.is_write:
-            self._writer_lock_truth[granule] = frozenset(
-                self.sync.lock_table_for(where.warp_id, thread).held_hashes()
-            )
+        # Write the access back into the metadata entry (section 6.2).
+        counters = sync.snapshot(thread, warp_id, block_id)
+        entry.set_accessor(
+            self.table.tag_of_granule(granule), warp_id, where.lane, *counters
+        )
+        if is_write:
+            entry.set_writer(warp_id, where.lane, *counters, locks_bloom)
+            flags = _MODIFIED
+            if event.kind is AccessKind.ATOMIC:
+                flags |= _ATOMIC_FLAGS[event.scope]
+            entry.accessor_word = entry.accessor_word & _WRITE_CLEARS | flags
+            if HOT.enabled:
+                self._writer_lock_truth[granule] = frozenset(
+                    lock_table.held_hashes()
+                )
         if config.accessor_history > 1:
-            self._record_history(granule, curr, event, thread, locks_bloom)
+            self._record_history(granule, curr, is_write, counters)
 
         if self.probe is not None:
             self.probe.on_outcome(
@@ -424,60 +455,15 @@ class IGuardCore(DetectorCore):
             if race_type is not None:
                 self.report_race(race_type, event, view, launch, granule)
 
-    def _record_history(self, granule, curr, event, thread, locks_bloom) -> None:
+    def _record_history(self, granule, curr, is_write, counters) -> None:
         history = self._history.get(granule)
         if history is None:
             history = deque(maxlen=self.config.accessor_history)
             self._history[granule] = history
         view = AccessorView(
-            warp_id=curr.warp_id,
-            lane=curr.lane,
-            dev_fence=self.sync.dev_fence(thread),
-            blk_fence=self.sync.blk_fence(thread),
-            blk_bar=self.sync.blk_bar(curr.block_id),
-            warp_bar=self.sync.warp_bar(curr.warp_id),
-            locks=locks_bloom,
+            curr.warp_id, curr.lane, *counters, locks=curr.locks_bloom
         )
-        history.append((view, event.is_write))
-
-    def _write_back(
-        self, entry, tag: int, curr: CurrentAccess, event: MemoryEvent,
-        thread, locks_bloom: int,
-    ) -> None:
-        """Record the current access into the metadata entry (section 6.2)."""
-        dev_fence = self.sync.dev_fence(thread)
-        blk_fence = self.sync.blk_fence(thread)
-        blk_bar = self.sync.blk_bar(curr.block_id)
-        warp_bar = self.sync.warp_bar(curr.warp_id)
-
-        entry.set_accessor(
-            tag=tag,
-            warp_id=curr.warp_id,
-            lane=curr.lane,
-            dev_fence=dev_fence,
-            blk_fence=blk_fence,
-            blk_bar=blk_bar,
-            warp_bar=warp_bar,
-        )
-        if event.is_write:
-            entry.set_writer(
-                warp_id=curr.warp_id,
-                lane=curr.lane,
-                dev_fence=dev_fence,
-                blk_fence=blk_fence,
-                blk_bar=blk_bar,
-                warp_bar=warp_bar,
-                locks=locks_bloom,
-            )
-            entry.set_flag("Modified", True)
-            if event.kind is AccessKind.ATOMIC:
-                entry.set_flag("Atomic", True)
-                entry.set_flag(
-                    "Scope", not scope_covers(event.scope, Scope.DEVICE)
-                )
-            else:
-                entry.set_flag("Atomic", False)
-                entry.set_flag("Scope", False)
+        history.append((view, is_write))
 
     def report_race(
         self, race_type, event: MemoryEvent, md, launch, granule: int

@@ -90,7 +90,7 @@ _ATOMIC_MASK = ACCESSOR_WORD.field("Atomic").mask
 _SCOPE_MASK = ACCESSOR_WORD.field("Scope").mask
 _DEV_SHARED_MASK = ACCESSOR_WORD.field("DevShared").mask
 _BLK_SHARED_MASK = ACCESSOR_WORD.field("BlkShared").mask
-_FLAG_MASKS = {
+FLAG_MASKS = {
     name: ACCESSOR_WORD.field(name).mask
     for name in ("Valid", "Modified", "Atomic", "Scope", "DevShared", "BlkShared")
 }
@@ -190,7 +190,7 @@ class MetadataEntry:
         return _GET_TAG(self.accessor_word)
 
     def set_flag(self, name: str, value: bool) -> None:
-        mask = _FLAG_MASKS[name]
+        mask = FLAG_MASKS[name]
         if value:
             self.accessor_word |= mask
         else:

@@ -63,6 +63,18 @@ class SyncMetadata:
         """Current block-scope fence counter of a thread (6-bit)."""
         return self._blk_fence.get(thread, 0)
 
+    def snapshot(
+        self, thread: ThreadKey, warp_id: int, block_id: int
+    ) -> Tuple[int, int, int, int]:
+        """One thread's ``(dev_fence, blk_fence, blk_bar, warp_bar)``: the
+        counters an access records into its metadata entry, read at once."""
+        return (
+            self._dev_fence.get(thread, 0),
+            self._blk_fence.get(thread, 0),
+            self._blk_bar.get(block_id, 0),
+            self._warp_bar.get(warp_id, 0),
+        )
+
     def on_syncthreads(self, block_id: int) -> None:
         """A threadblock barrier completed: bump the block's counter."""
         self._blk_bar[block_id] = (self.blk_bar(block_id) + 1) % (1 << BLK_BAR_BITS)

@@ -572,6 +572,25 @@ class Chunk:
                         if bits >> lane & 1
                     )
                     mask_memo[bits] = mask
+                # Value tags 0 (None) and 1 (int payload) decode inline;
+                # only pooled JSON values take the call.
+                tags = m_vtag[i_m]
+                pays = m_vpay[i_m]
+                tag = tags[0]
+                stored = (
+                    None if tag == 0 else pays[0] if tag == 1
+                    else _decode_value(tag, pays[0], pool, value_memo)
+                )
+                tag = tags[1]
+                loaded = (
+                    None if tag == 0 else pays[1] if tag == 1
+                    else _decode_value(tag, pays[1], pool, value_memo)
+                )
+                tag = tags[2]
+                compare = (
+                    None if tag == 0 else pays[2] if tag == 1
+                    else _decode_value(tag, pays[2], pool, value_memo)
+                )
                 append(MemoryEvent(
                     _ACCESS_BY_CODE[m_kind[i_m]],
                     m_addr[i_m],
@@ -580,15 +599,9 @@ class Chunk:
                     mask,
                     _SCOPE_BY_CODE[m_scope[i_m]],
                     _OP_BY_CODE[m_op[i_m]],
-                    _decode_value(
-                        m_vtag[i_m][0], m_vpay[i_m][0], pool, value_memo
-                    ),
-                    _decode_value(
-                        m_vtag[i_m][1], m_vpay[i_m][1], pool, value_memo
-                    ),
-                    _decode_value(
-                        m_vtag[i_m][2], m_vpay[i_m][2], pool, value_memo
-                    ),
+                    stored,
+                    loaded,
+                    compare,
                     m_batch[i_m],
                 ))
                 i_m += 1

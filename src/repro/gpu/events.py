@@ -50,7 +50,13 @@ class SyncKind(enum.Enum):
     FENCE = "fence"
 
 
-@dataclass(frozen=True, slots=True)
+# The two per-instruction records are the hot ones: one is built per
+# dynamic access or sync, live and on ``.ctr`` decode.  A frozen dataclass
+# pays one ``object.__setattr__`` per field on construction, so these are
+# plain slotted dataclasses, immutable by convention: no producer or
+# consumer assigns a field after construction.  ``unsafe_hash`` keeps
+# hashing by value, alongside the generated value ``__eq__``.
+@dataclass(slots=True, unsafe_hash=True)
 class MemoryEvent:
     """One dynamic load/store/atomic by one thread.
 
@@ -92,7 +98,7 @@ class MemoryEvent:
         return self.kind.is_write
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SyncEvent:
     """One dynamic synchronization operation by one thread."""
 

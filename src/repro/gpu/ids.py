@@ -101,15 +101,13 @@ def warps_in_block(threads_per_block: int, warp_size: int) -> int:
     return (threads_per_block + warp_size - 1) // warp_size
 
 
-@lru_cache(maxsize=1 << 16)
 def block_of_warp(warp_id: int, warps_per_block: int) -> int:
     """The threadblock a global warp ID belongs to.
 
     This is precisely the derivation iGUARD performs during metadata update:
     "It then calculates the threadblock ID of the last accessor by dividing
     the WarpID in the metadata by the number of warps per threadblock"
-    (section 6.2).  Memoized: the division recurs once per access during
-    metadata update (the per-launch divisor is fixed), so the hot helpers
-    answer from cache instead of dividing per access.
+    (section 6.2).  Not memoized: one integer division is cheaper than an
+    ``lru_cache`` hit (hashing the argument tuple costs more than it saves).
     """
     return warp_id // warps_per_block

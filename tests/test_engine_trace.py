@@ -1,12 +1,13 @@
 """Trace record/replay: captured streams re-drive detectors exactly."""
 
+import dataclasses
 import gzip
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import Barracuda
+from repro.baselines import Barracuda, FastTrack, ScoRD
 from repro.core import IGuard
 from repro.engine import Trace, TraceSink, capture_workload, replay, replay_workload
 from repro.engine.trace import decode_event, encode_event
@@ -224,3 +225,45 @@ class TestCodecRoundTrip:
             decode_event({"t": "mystery"})
         with pytest.raises(TypeError):
             encode_event(object())
+
+
+class TestEventsImmutableByConvention:
+    """Memory and sync records are plain slotted dataclasses, not frozen
+    ones: nothing may assign their fields, and they still compare and
+    hash by value."""
+
+    def test_records_are_not_frozen(self):
+        assert not MemoryEvent.__dataclass_params__.frozen
+        assert not SyncEvent.__dataclass_params__.frozen
+
+    @pytest.mark.parametrize("tool", [IGuard, ScoRD, FastTrack])
+    @pytest.mark.parametrize("name", ["uts", "conjugGMB", "slabhash_test"])
+    def test_replay_leaves_every_event_unchanged(self, tool, name):
+        # uts takes and releases CAS locks, conjugGMB synchronizes, and
+        # slabhash_test runs warp-wide CAS: every record kind a detector
+        # reads reaches it.
+        trace = capture_workload(get_workload(name))
+        before = [encode_event(event) for event in trace.events]
+        replay_workload(trace, tool, workload_name=name)
+        assert [encode_event(event) for event in trace.events] == before
+
+    def test_memory_events_compare_and_hash_by_value(self):
+        where = ThreadLocation(5, 0, 5, 0, 5, 0)
+        fields = dict(
+            kind=AccessKind.ATOMIC, address=64, where=where, ip="k.py:3",
+            active_mask=frozenset({5}), scope=Scope.BLOCK,
+            atomic_op=AtomicOp.CAS, value_stored=1, value_loaded=0,
+            compare=0, batch=7,
+        )
+        a, b = MemoryEvent(**fields), MemoryEvent(**fields)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != dataclasses.replace(a, batch=8)
+
+    def test_sync_events_compare_and_hash_by_value(self):
+        where = ThreadLocation(5, 0, 5, 0, 5, 0)
+        a = SyncEvent(SyncKind.FENCE, where, "k.py:4", frozenset({5}))
+        b = SyncEvent(SyncKind.FENCE, where, "k.py:4", frozenset({5}))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != dataclasses.replace(a, scope=Scope.BLOCK)
